@@ -7,8 +7,8 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy (deny warnings)"
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy (every target, deny warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== fairlint (strict + graph)"
 mkdir -p target/fairlint
@@ -28,11 +28,21 @@ grep -q '"edges"' target/fairlint/graph.json
 cargo run -q -p fairlint -- --graph dot > target/fairlint/graph.dot
 grep -q '^digraph fairlint' target/fairlint/graph.dot
 
-echo "== cargo build --release (workspace: libs + reproduce/exp_*/fair-trace bins)"
+echo "== cargo build --release (workspace: libs + reproduce/fair-trace/fair-serve bins)"
 cargo build --release --workspace
 
-echo "== cargo test"
+echo "== cargo test (default-members: the whole workspace)"
 cargo test -q
+
+echo "== shared-state stress loop (lib tests of the run-context crates, 20 runs)"
+# The lib tests of these crates run concurrently at the default test
+# thread count. A process-global that tests toggle makes them race; 20
+# repetitions turn such a race into a gate failure instead of a rare flake.
+for i in $(seq 20); do
+  if ! out="$(cargo test -q -p fair-trace -p fair-simlab -p fair-tiles -p fair-core --lib 2>&1)"; then
+    echo "$out"; echo "stress run $i failed"; exit 1
+  fi
+done
 
 echo "== fair-trace selfcheck (record + replay + diff)"
 ./target/release/fair-trace record exp_coin_toss --trials 80 --sample 3 > /tmp/fair_trace_recorded.txt

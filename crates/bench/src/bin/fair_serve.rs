@@ -98,10 +98,6 @@ fn main() {
         }
     }
 
-    // Collect per-protocol trace metrics for the lifetime of the server;
-    // `/metrics` snapshots them live and shutdown flushes them.
-    fair_trace::metrics::set_enabled(true);
-
     let tiles_note = config.tiles_dir.as_ref().map(|p| p.display().to_string());
     let server = match Server::bind(config, Arc::new(ExperimentBackend)) {
         Ok(server) => server,

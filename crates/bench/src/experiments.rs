@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use fair_circuits::{bits_to_u64, u64_to_bits};
 use fair_core::strategy::{any_output, CorruptionPlan, LockAndAbort};
-use fair_core::{analytic, best_of, estimate, Payoff, Scenario, Trial, UtilityEstimate};
+use fair_core::{analytic, best_of, estimate, Payoff, RunCtx, Scenario, Trial, UtilityEstimate};
 use fair_protocols::scenarios::{
     artificial_sweep, contract_sweep, gk_sweep, gmw_half_sweep, ideal_fair_sweep, one_round_sweep,
     opt2_sweep, optn_sweep, Opt2Scenario, Strategy,
@@ -22,21 +22,23 @@ use crate::table::{Report, Row};
 /// Tolerance added on top of confidence intervals for pass/fail decisions.
 const TOL: f64 = 0.05;
 
-fn best<S: Scenario + Sync>(
+/// The estimate of the best scenario of a strategy sweep.
+pub(crate) fn best<S: Scenario + Sync>(
+    ctx: &RunCtx,
     scenarios: &[S],
     payoff: &Payoff,
     trials: usize,
     seed: u64,
 ) -> UtilityEstimate {
-    let (ests, idx) = best_of(scenarios, payoff, trials, seed);
+    let (ests, idx) = best_of(ctx, scenarios, payoff, trials, seed);
     ests[idx].clone()
 }
 
 /// E1 — Introduction: Π2 is twice as fair as Π1.
-pub fn e1(trials: usize, seed: u64) -> Report {
+pub fn e1(ctx: &RunCtx, trials: usize, seed: u64) -> Report {
     let payoff = Payoff::standard();
-    let u1 = best(&contract_sweep(false), &payoff, trials, seed);
-    let u2 = best(&contract_sweep(true), &payoff, trials, seed ^ 1);
+    let u1 = best(ctx, &contract_sweep(false), &payoff, trials, seed);
+    let u2 = best(ctx, &contract_sweep(true), &payoff, trials, seed ^ 1);
     let rows = vec![
         Row::vs_paper(
             "Π1 sup-utility (γ10)",
@@ -67,10 +69,10 @@ pub fn e1(trials: usize, seed: u64) -> Report {
 
 /// E2 — Theorem 3: every strategy in the library stays at or below
 /// (γ10+γ11)/2 against Π^Opt_2SFE.
-pub fn e2(trials: usize, seed: u64) -> Report {
+pub fn e2(ctx: &RunCtx, trials: usize, seed: u64) -> Report {
     let payoff = Payoff::standard();
     let bound = analytic::opt2(&payoff);
-    let (ests, best_idx) = best_of(&opt2_sweep(), &payoff, trials, seed);
+    let (ests, best_idx) = best_of(ctx, &opt2_sweep(), &payoff, trials, seed);
     let mut rows: Vec<Row> = ests
         .iter()
         .map(|e| Row::upper_bound(e.name.clone(), bound, e.mean, e.ci, TOL))
@@ -90,10 +92,11 @@ pub fn e2(trials: usize, seed: u64) -> Report {
 }
 
 /// E3 — Theorem 4 / Lemma 7: the proof adversaries attain the bound.
-pub fn e3(trials: usize, seed: u64) -> Report {
+pub fn e3(ctx: &RunCtx, trials: usize, seed: u64) -> Report {
     let payoff = Payoff::standard();
     let bound = analytic::opt2(&payoff);
     let a1 = estimate(
+        ctx,
         &Opt2Scenario {
             strategy: Strategy::LockAbort(CorruptionPlan::Fixed(vec![0])),
         },
@@ -102,6 +105,7 @@ pub fn e3(trials: usize, seed: u64) -> Report {
         seed,
     );
     let a2 = estimate(
+        ctx,
         &Opt2Scenario {
             strategy: Strategy::LockAbort(CorruptionPlan::Fixed(vec![1])),
         },
@@ -110,6 +114,7 @@ pub fn e3(trials: usize, seed: u64) -> Report {
         seed ^ 2,
     );
     let agen = estimate(
+        ctx,
         &Opt2Scenario {
             strategy: Strategy::LockAbort(CorruptionPlan::RandomSingleton),
         },
@@ -138,12 +143,13 @@ pub fn e3(trials: usize, seed: u64) -> Report {
 
 /// E4 — Lemmas 9/10: Π^Opt_2SFE has two reconstruction rounds; the
 /// one-reconstruction-round strawman hands the attacker γ10.
-pub fn e4(trials: usize, seed: u64) -> Report {
+pub fn e4(ctx: &RunCtx, trials: usize, seed: u64) -> Report {
     let payoff = Payoff::standard();
     // Sweep abort rounds against Π^Opt_2SFE for both corrupted parties.
     let total_rounds = 6;
     let sweep_for = |party: usize, seed: u64| {
         fair_core::reconstruction::sweep(
+            ctx,
             total_rounds,
             |r| Opt2Scenario {
                 strategy: Strategy::AbortAtRound(CorruptionPlan::Fixed(vec![party]), r),
@@ -171,7 +177,7 @@ pub fn e4(trials: usize, seed: u64) -> Report {
         .filter(|(_, f)| !**f)
         .map(|(r, _)| r)
         .collect();
-    let strawman = best(&one_round_sweep(), &payoff, trials, seed ^ 5);
+    let strawman = best(ctx, &one_round_sweep(), &payoff, trials, seed ^ 5);
     let rows = vec![
         Row::vs_paper(
             "Π^Opt_2SFE reconstruction rounds ℓ",
@@ -202,12 +208,13 @@ pub fn e4(trials: usize, seed: u64) -> Report {
 }
 
 /// E5 — Lemma 11: per-t utilities against Π^Opt_nSFE.
-pub fn e5(trials: usize, seed: u64, ns: &[usize]) -> Report {
+pub fn e5(ctx: &RunCtx, trials: usize, seed: u64, ns: &[usize]) -> Report {
     let payoff = Payoff::standard();
     let mut rows = Vec::new();
     for &n in ns {
         for t in 1..n {
             let u = best(
+                ctx,
                 &optn_sweep(n, t),
                 &payoff,
                 trials,
@@ -230,7 +237,7 @@ pub fn e5(trials: usize, seed: u64, ns: &[usize]) -> Report {
 }
 
 /// E6 — Lemmas 12/13: the A_ī strategies and their mix.
-pub fn e6(trials: usize, seed: u64, n: usize) -> Report {
+pub fn e6(ctx: &RunCtx, trials: usize, seed: u64, n: usize) -> Report {
     let payoff = Payoff::standard();
     let mut rows = Vec::new();
     let mut sum = 0.0;
@@ -240,7 +247,7 @@ pub fn e6(trials: usize, seed: u64, n: usize) -> Report {
             n,
             strategy: Strategy::LockAbort(CorruptionPlan::AllBut(i)),
         };
-        let u = estimate(&s, &payoff, trials, seed ^ (i as u64));
+        let u = estimate(ctx, &s, &payoff, trials, seed ^ (i as u64));
         sum += u.mean;
         sum_ci += u.ci;
         rows.push(Row::vs_paper(
@@ -262,7 +269,7 @@ pub fn e6(trials: usize, seed: u64, n: usize) -> Report {
         n,
         strategy: Strategy::LockAbort(CorruptionPlan::RandomAllButOne),
     };
-    let u = estimate(&mixed, &payoff, trials, seed ^ 99);
+    let u = estimate(ctx, &mixed, &payoff, trials, seed ^ 99);
     rows.push(Row::vs_paper(
         "mixed A: ((n−1)γ10+γ11)/n",
         analytic::optn_best(&payoff, n),
@@ -278,13 +285,13 @@ pub fn e6(trials: usize, seed: u64, n: usize) -> Report {
 }
 
 /// E7 — Lemmas 14/16: Π^Opt_nSFE is utility-balanced.
-pub fn e7(trials: usize, seed: u64, n: usize) -> Report {
+pub fn e7(ctx: &RunCtx, trials: usize, seed: u64, n: usize) -> Report {
     let payoff = Payoff::standard();
     let mut rows = Vec::new();
     let mut sum = 0.0;
     let mut sum_ci = 0.0;
     for t in 1..n {
-        let u = best(&optn_sweep(n, t), &payoff, trials, seed ^ (t as u64));
+        let u = best(ctx, &optn_sweep(n, t), &payoff, trials, seed ^ (t as u64));
         sum += u.mean;
         sum_ci += u.ci;
     }
@@ -303,7 +310,7 @@ pub fn e7(trials: usize, seed: u64, n: usize) -> Report {
 }
 
 /// E8 — Lemma 17: Π^{1/2}_GMW per-t cliff; balance violated for even n.
-pub fn e8(trials: usize, seed: u64, ns: &[usize]) -> Report {
+pub fn e8(ctx: &RunCtx, trials: usize, seed: u64, ns: &[usize]) -> Report {
     let payoff = Payoff::standard();
     let mut rows = Vec::new();
     for &n in ns {
@@ -311,6 +318,7 @@ pub fn e8(trials: usize, seed: u64, ns: &[usize]) -> Report {
         let mut sum_ci = 0.0;
         for t in 1..n {
             let u = best(
+                ctx,
                 &gmw_half_sweep(n, t),
                 &payoff,
                 trials,
@@ -353,10 +361,10 @@ pub fn e8(trials: usize, seed: u64, ns: &[usize]) -> Report {
 
 /// E9 — Lemma 18: the artificial protocol is optimally fair but not
 /// utility-balanced.
-pub fn e9(trials: usize, seed: u64, n: usize) -> Report {
+pub fn e9(ctx: &RunCtx, trials: usize, seed: u64, n: usize) -> Report {
     let payoff = Payoff::standard();
-    let t1 = best(&artificial_sweep(n, 1), &payoff, trials, seed);
-    let tmax = best(&artificial_sweep(n, n - 1), &payoff, trials, seed ^ 7);
+    let t1 = best(ctx, &artificial_sweep(n, 1), &payoff, trials, seed);
+    let tmax = best(ctx, &artificial_sweep(n, n - 1), &payoff, trials, seed ^ 7);
     let optn_t1 = analytic::optn_t(&payoff, n, 1);
     let rows = vec![
         Row::vs_paper(
@@ -387,16 +395,17 @@ pub fn e9(trials: usize, seed: u64, n: usize) -> Report {
 }
 
 /// E10 — Theorem 6 / Lemma 22: the corruption-cost duality.
-pub fn e10(trials: usize, seed: u64, n: usize) -> Report {
+pub fn e10(ctx: &RunCtx, trials: usize, seed: u64, n: usize) -> Report {
     let payoff = Payoff::standard();
     let phi: Vec<f64> = (1..n)
-        .map(|t| best(&optn_sweep(n, t), &payoff, trials, seed ^ (t as u64)).mean)
+        .map(|t| best(ctx, &optn_sweep(n, t), &payoff, trials, seed ^ (t as u64)).mean)
         .collect();
     // Measure the ideal benchmark s(t) (dummy protocol around fair SFE)
     // rather than trusting the closed form.
     let s_measured: Vec<UtilityEstimate> = (1..n)
         .map(|t| {
             best(
+                ctx,
                 &ideal_fair_sweep(n, t),
                 &payoff,
                 trials,
@@ -507,10 +516,11 @@ impl Scenario for GmwScenario {
 /// E13 — composability: the real GMW instantiation of unfair SFE gives the
 /// attacker exactly the same utility (γ10) as the ideal hybrid, and the
 /// hybrid-built Π^Opt_2SFE keeps its bound.
-pub fn e13(trials: usize, seed: u64) -> Report {
+pub fn e13(ctx: &RunCtx, trials: usize, seed: u64) -> Report {
     let payoff = Payoff::standard();
     let cfg = GmwConfig::new(fair_circuits::functions::millionaires(8), vec![8, 8]);
     let real = estimate(
+        ctx,
         &GmwScenario {
             cfg: Arc::clone(&cfg),
             lock_abort: true,
@@ -520,6 +530,7 @@ pub fn e13(trials: usize, seed: u64) -> Report {
         seed,
     );
     let honest = estimate(
+        ctx,
         &GmwScenario {
             cfg,
             lock_abort: false,
@@ -596,7 +607,7 @@ pub fn e13(trials: usize, seed: u64) -> Report {
             }
         }
     }
-    let ideal = estimate(&IdealUnfair, &payoff, trials, seed ^ 9);
+    let ideal = estimate(ctx, &IdealUnfair, &payoff, trials, seed ^ 9);
     // The second real instantiation: Yao garbled circuits. Its unfairness
     // is asymmetric — the evaluator (p2) learns first.
     struct YaoScenario {
@@ -626,8 +637,8 @@ pub fn e13(trials: usize, seed: u64) -> Report {
             }
         }
     }
-    let yao_eval = estimate(&YaoScenario { corrupt: 1 }, &payoff, trials, seed ^ 10);
-    let yao_garb = estimate(&YaoScenario { corrupt: 0 }, &payoff, trials, seed ^ 11);
+    let yao_eval = estimate(ctx, &YaoScenario { corrupt: 1 }, &payoff, trials, seed ^ 10);
+    let yao_garb = estimate(ctx, &YaoScenario { corrupt: 0 }, &payoff, trials, seed ^ 11);
     let rows = vec![
         Row::vs_paper(
             "real GMW, lock-abort (γ10)",
@@ -679,7 +690,7 @@ pub fn e13(trials: usize, seed: u64) -> Report {
 
 /// E11 — Theorems 23/24: the Gordon–Katz protocols bound the attacker's
 /// payoff by 1/p under γ = (0,0,1,0).
-pub fn e11(trials: usize, seed: u64) -> Report {
+pub fn e11(ctx: &RunCtx, trials: usize, seed: u64) -> Report {
     let payoff = Payoff::gk();
     let mut rows = Vec::new();
     let bit: fair_protocols::gordon_katz::ValueSampler =
@@ -696,7 +707,7 @@ pub fn e11(trials: usize, seed: u64) -> Report {
             Arc::clone(&bit),
         );
         let rounds: Vec<usize> = (1..=8).collect();
-        let u = best(&gk_sweep(&cfg, &rounds), &payoff, trials, seed ^ p);
+        let u = best(ctx, &gk_sweep(&cfg, &rounds), &payoff, trials, seed ^ p);
         rows.push(Row::upper_bound(
             format!("poly-domain p={p}: best attack ≤ 1/p"),
             analytic::gk_bound(p),
@@ -718,7 +729,7 @@ pub fn e11(trials: usize, seed: u64) -> Report {
         vec![Value::Scalar(0), Value::Scalar(1)],
     );
     let rounds: Vec<usize> = (1..=8).collect();
-    let u = best(&gk_sweep(&cfg, &rounds), &payoff, trials, seed ^ 77);
+    let u = best(ctx, &gk_sweep(&cfg, &rounds), &payoff, trials, seed ^ 77);
     rows.push(Row::upper_bound(
         "poly-range p=2: best attack ≤ 1/p",
         analytic::gk_bound(2),
@@ -745,7 +756,7 @@ pub fn e11(trials: usize, seed: u64) -> Report {
 /// the Gordon–Katz protocol for AND (poly-size domain) under the *general*
 /// Γ⁺_fair payoff and show its best attacker earns strictly less than the
 /// generic bound, approaching γ11 as p grows.
-pub fn e14(trials: usize, seed: u64) -> Report {
+pub fn e14(ctx: &RunCtx, trials: usize, seed: u64) -> Report {
     let payoff = Payoff::standard();
     let generic = analytic::opt2(&payoff);
     let bit: fair_protocols::gordon_katz::ValueSampler =
@@ -763,7 +774,7 @@ pub fn e14(trials: usize, seed: u64) -> Report {
             Arc::clone(&bit),
         );
         let rounds: Vec<usize> = (1..=8).collect();
-        let u = best(&gk_sweep(&cfg, &rounds), &payoff, trials, seed ^ p);
+        let u = best(ctx, &gk_sweep(&cfg, &rounds), &payoff, trials, seed ^ p);
         // Remark after Theorem 3: the bound drops to roughly
         // (γ10 + (p−1)·γ11)/p for 1/p-secure functions.
         let remark_bound = (payoff.g10 + (p as f64 - 1.0) * payoff.g11) / p as f64;
@@ -791,7 +802,7 @@ pub fn e14(trials: usize, seed: u64) -> Report {
 /// the designated party is minimax-optimal. Sweeping Pr[i* = 1] = q shows
 /// the best attacker earns max(q, 1−q)·γ10 + min(q, 1−q)·γ11, minimized
 /// exactly at q = 1/2.
-pub fn e15(trials: usize, seed: u64) -> Report {
+pub fn e15(ctx: &RunCtx, trials: usize, seed: u64) -> Report {
     let payoff = Payoff::standard();
     let qs = [0.1f64, 0.3, 0.5, 0.7, 0.9];
     // Build the measured attack-game matrix: designer rows = bias q,
@@ -801,8 +812,8 @@ pub fn e15(trials: usize, seed: u64) -> Report {
     for (i, q) in qs.into_iter().enumerate() {
         let sweep = fair_protocols::scenarios::biased_opt2_sweep(q);
         // Columns 0/1 of the sweep are lock-abort on p1 / p2.
-        let u1 = estimate(&sweep[0], &payoff, trials, seed ^ (i as u64));
-        let u2 = estimate(&sweep[1], &payoff, trials, seed ^ (0x40 + i as u64));
+        let u1 = estimate(ctx, &sweep[0], &payoff, trials, seed ^ (i as u64));
+        let u2 = estimate(ctx, &sweep[1], &payoff, trials, seed ^ (0x40 + i as u64));
         let expect = q.max(1.0 - q) * payoff.g10 + q.min(1.0 - q) * payoff.g11;
         let measured_best = u1.mean.max(u2.mean);
         rows.push(Row::vs_paper(
@@ -850,14 +861,20 @@ pub fn e15(trials: usize, seed: u64) -> Report {
 /// balance bound yet its best attacker earns γ10 — far above Π^Opt_nSFE's
 /// optimum; conversely E9 shows the Lemma 18 protocol is optimal but
 /// unbalanced.
-pub fn e16(trials: usize, seed: u64) -> Report {
+pub fn e16(ctx: &RunCtx, trials: usize, seed: u64) -> Report {
     let payoff = Payoff::standard();
     let n = 5; // odd: Π′ = Π^{1/2}_GMW
     let mut sum = 0.0;
     let mut sum_ci = 0.0;
     let mut sup = f64::NEG_INFINITY;
     for t in 1..n {
-        let u = best(&gmw_half_sweep(n, t), &payoff, trials, seed ^ (t as u64));
+        let u = best(
+            ctx,
+            &gmw_half_sweep(n, t),
+            &payoff,
+            trials,
+            seed ^ (t as u64),
+        );
         sum += u.mean;
         sum_ci += u.ci;
         sup = sup.max(u.mean);
@@ -898,43 +915,43 @@ mod tests {
 
     #[test]
     fn e1_reproduces() {
-        let r = e1(T, 1);
+        let r = e1(&RunCtx::default(), T, 1);
         assert!(r.pass(), "{}", r.render());
     }
 
     #[test]
     fn e3_reproduces() {
-        let r = e3(T, 3);
+        let r = e3(&RunCtx::default(), T, 3);
         assert!(r.pass(), "{}", r.render());
     }
 
     #[test]
     fn e4_reproduces() {
-        let r = e4(T, 4);
+        let r = e4(&RunCtx::default(), T, 4);
         assert!(r.pass(), "{}", r.render());
     }
 
     #[test]
     fn e7_reproduces_small() {
-        let r = e7(T, 7, 3);
+        let r = e7(&RunCtx::default(), T, 7, 3);
         assert!(r.pass(), "{}", r.render());
     }
 
     #[test]
     fn e9_reproduces_small() {
-        let r = e9(T, 9, 3);
+        let r = e9(&RunCtx::default(), T, 9, 3);
         assert!(r.pass(), "{}", r.render());
     }
 
     #[test]
     fn e13_reproduces() {
-        let r = e13(80, 13);
+        let r = e13(&RunCtx::default(), 80, 13);
         assert!(r.pass(), "{}", r.render());
     }
 
     #[test]
     fn e15_reproduces() {
-        let r = e15(250, 15);
+        let r = e15(&RunCtx::default(), 250, 15);
         assert!(r.pass(), "{}", r.render());
     }
 }

@@ -15,6 +15,8 @@ pub mod tracecli;
 
 pub use table::{Report, Row};
 
+use fair_core::RunCtx;
+
 /// Number of Monte-Carlo trials used by the experiment binaries (override
 /// with the `FAIR_TRIALS` environment variable). A malformed value is
 /// reported on stderr, then the default of 1000 applies. Routed through
@@ -23,29 +25,30 @@ pub fn default_trials() -> usize {
     fair_simlab::config::env_usize("FAIR_TRIALS", 1000)
 }
 
-/// Runs an experiment by id; `None` for an unknown id.
-pub fn run_experiment(id: &str, trials: usize, seed: u64) -> Option<Vec<Report>> {
+/// Runs an experiment by id in the run context `ctx`; `None` for an
+/// unknown id.
+pub fn run_experiment(ctx: &RunCtx, id: &str, trials: usize, seed: u64) -> Option<Vec<Report>> {
     let reports = match id {
-        "e1" => vec![experiments::e1(trials, seed)],
-        "e2" => vec![experiments::e2(trials, seed)],
-        "e3" => vec![experiments::e3(trials, seed)],
-        "e4" => vec![experiments::e4(trials, seed)],
-        "e5" => vec![experiments::e5(trials, seed, &[3, 4, 5])],
-        "e6" => vec![experiments::e6(trials, seed, 4)],
-        "e7" => vec![experiments::e7(trials, seed, 4)],
-        "e8" => vec![experiments::e8(trials, seed, &[4, 5])],
-        "e9" => vec![experiments::e9(trials, seed, 4)],
-        "e10" => vec![experiments::e10(trials, seed, 4)],
-        "e11" => vec![experiments::e11(trials, seed)],
-        "e12" => vec![partial_exp::e12(trials, seed)],
-        "e13" => vec![experiments::e13(trials, seed)],
-        "e14" => vec![experiments::e14(trials, seed)],
-        "e15" => vec![experiments::e15(trials, seed)],
-        "e16" => vec![experiments::e16(trials, seed)],
-        "e17" => vec![partial_exp::e17(trials, seed)],
+        "e1" => vec![experiments::e1(ctx, trials, seed)],
+        "e2" => vec![experiments::e2(ctx, trials, seed)],
+        "e3" => vec![experiments::e3(ctx, trials, seed)],
+        "e4" => vec![experiments::e4(ctx, trials, seed)],
+        "e5" => vec![experiments::e5(ctx, trials, seed, &[3, 4, 5])],
+        "e6" => vec![experiments::e6(ctx, trials, seed, 4)],
+        "e7" => vec![experiments::e7(ctx, trials, seed, 4)],
+        "e8" => vec![experiments::e8(ctx, trials, seed, &[4, 5])],
+        "e9" => vec![experiments::e9(ctx, trials, seed, 4)],
+        "e10" => vec![experiments::e10(ctx, trials, seed, 4)],
+        "e11" => vec![experiments::e11(ctx, trials, seed)],
+        "e12" => vec![partial_exp::e12(ctx, trials, seed)],
+        "e13" => vec![experiments::e13(ctx, trials, seed)],
+        "e14" => vec![experiments::e14(ctx, trials, seed)],
+        "e15" => vec![experiments::e15(ctx, trials, seed)],
+        "e16" => vec![experiments::e16(ctx, trials, seed)],
+        "e17" => vec![partial_exp::e17(ctx, trials, seed)],
         // Not a static id: fall through to the scenario-derived leg of
         // the registry (compiled from scenarios/*.toml).
-        _ => return scenario_exp::run(id, trials, seed),
+        _ => return scenario_exp::run(ctx, id, trials, seed),
     };
     Some(reports)
 }

@@ -17,6 +17,7 @@
 //! reply, Z₁ accepts when the reply equals x₁ *and* z₁ = 0.
 
 use fair_core::partial::{acceptance, Acceptance};
+use fair_core::RunCtx;
 use fair_protocols::leaky::probe_real;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -24,8 +25,9 @@ use rand::{RngExt, SeedableRng};
 use crate::table::{Report, Row};
 
 /// Real-world acceptance probabilities of Z₁ and Z₂ against Π̃.
-pub fn real_acceptances(trials: usize, seed: u64) -> (Acceptance, Acceptance) {
+pub fn real_acceptances(ctx: &RunCtx, trials: usize, seed: u64) -> (Acceptance, Acceptance) {
     let z1 = acceptance(
+        ctx,
         |s| {
             let mut rng = StdRng::seed_from_u64(s);
             let x1 = rng.random_range(0u64..2);
@@ -36,6 +38,7 @@ pub fn real_acceptances(trials: usize, seed: u64) -> (Acceptance, Acceptance) {
         seed,
     );
     let z2 = acceptance(
+        ctx,
         |s| {
             let mut rng = StdRng::seed_from_u64(s);
             let _x1 = rng.random_range(0u64..2);
@@ -91,8 +94,14 @@ pub fn ideal_run(sim: &Simulator, rng: &mut StdRng) -> (bool, bool) {
 }
 
 /// Ideal-world acceptance probabilities for a simulator.
-pub fn ideal_acceptances(sim: &Simulator, trials: usize, seed: u64) -> (Acceptance, Acceptance) {
+pub fn ideal_acceptances(
+    ctx: &RunCtx,
+    sim: &Simulator,
+    trials: usize,
+    seed: u64,
+) -> (Acceptance, Acceptance) {
     let z1 = acceptance(
+        ctx,
         |s| {
             let mut rng = StdRng::seed_from_u64(s);
             ideal_run(sim, &mut rng).0
@@ -101,6 +110,7 @@ pub fn ideal_acceptances(sim: &Simulator, trials: usize, seed: u64) -> (Acceptan
         seed,
     );
     let z2 = acceptance(
+        ctx,
         |s| {
             let mut rng = StdRng::seed_from_u64(s);
             ideal_run(sim, &mut rng).1
@@ -149,7 +159,7 @@ pub fn simulator_grid() -> Vec<Simulator> {
 }
 
 /// E12 — the full separation experiment.
-pub fn e12(trials: usize, seed: u64) -> Report {
+pub fn e12(ctx: &RunCtx, trials: usize, seed: u64) -> Report {
     // Leak statistics (the protocol's defect, and the privacy side).
     // Probed through the simlab scheduler: integer per-tile counts make the
     // result bit-identical for every worker count.
@@ -181,14 +191,14 @@ pub fn e12(trials: usize, seed: u64) -> Report {
     let sep_trials = trials.max(2500);
 
     // Real-world Z1/Z2 acceptance.
-    let (rz1, rz2) = real_acceptances(sep_trials, seed ^ 0x5151);
+    let (rz1, rz2) = real_acceptances(ctx, sep_trials, seed ^ 0x5151);
 
     // Lemma 26: minimum over the simulator grid of the worst distinguisher
     // advantage.
     let mut min_max_gap = f64::INFINITY;
     let mut best_sim = None;
     for sim in simulator_grid() {
-        let (iz1, iz2) = ideal_acceptances(&sim, sep_trials, seed ^ 0x2626);
+        let (iz1, iz2) = ideal_acceptances(ctx, &sim, sep_trials, seed ^ 0x2626);
         let gap = (rz1.rate - iz1.rate).abs().max((rz2.rate - iz2.rate).abs());
         if gap < min_max_gap {
             min_max_gap = gap;
@@ -204,7 +214,7 @@ pub fn e12(trials: usize, seed: u64) -> Report {
         reply_learned: false,
         abort_replace: false,
     };
-    let (ez1, ez2) = ideal_acceptances(&explicit, sep_trials, seed ^ 0x2727);
+    let (ez1, ez2) = ideal_acceptances(ctx, &explicit, sep_trials, seed ^ 0x2727);
     let half_gap = (rz1.rate - ez1.rate).abs().max((rz2.rate - ez2.rate).abs());
 
     // Lemma 27 (privacy): the view simulator substitutes x2' = 1, learns
@@ -300,7 +310,7 @@ pub fn e12(trials: usize, seed: u64) -> Report {
 /// honest party output) is statistically indistinguishable from the
 /// F^{∧,$} ideal world with the paper's simulator. Measured as total
 /// variation distance over the joint outcome space.
-pub fn e17(trials: usize, seed: u64) -> Report {
+pub fn e17(ctx: &RunCtx, trials: usize, seed: u64) -> Report {
     use fair_protocols::gordon_katz::{
         gk_instance, ideal_observables, AbortRule, GkAttack, GkConfig, ValueSampler,
     };
@@ -334,6 +344,7 @@ pub fn e17(trials: usize, seed: u64) -> Report {
         let (real_counts, ideal_counts) = fair_simlab::run_tiled(trials, |range| {
             let mut real: BTreeMap<String, usize> = BTreeMap::new();
             let mut ideal: BTreeMap<String, usize> = BTreeMap::new();
+            ctx.count_trials(range.len());
             for t in range {
                 let s = fair_simlab::trial_seed(seed, t as u64);
                 // Shared environment: uniform bit inputs.
@@ -413,7 +424,7 @@ mod tests {
             reply_learned: false,
             abort_replace: false,
         };
-        let (z1, z2) = ideal_acceptances(&sim, 20_000, 5);
+        let (z1, z2) = ideal_acceptances(&RunCtx::default(), &sim, 20_000, 5);
         assert!((z2.rate - 0.25).abs() < 0.02, "Z2 = {}", z2.rate);
         assert!((z1.rate - 0.125).abs() < 0.02, "Z1 = {}", z1.rate);
         // S_C (learning + abort-replace) with q = 1/4: Z1 = 3q/4 = 3/16.
@@ -423,19 +434,19 @@ mod tests {
             reply_learned: true,
             abort_replace: true,
         };
-        let (z1c, _) = ideal_acceptances(&sim_c, 20_000, 6);
+        let (z1c, _) = ideal_acceptances(&RunCtx::default(), &sim_c, 20_000, 6);
         assert!((z1c.rate - 0.1875).abs() < 0.02, "Z1(C) = {}", z1c.rate);
     }
 
     #[test]
     fn e12_reproduces() {
-        let r = e12(400, 12);
+        let r = e12(&RunCtx::default(), 400, 12);
         assert!(r.pass(), "{}", r.render());
     }
 
     #[test]
     fn e17_reproduces() {
-        let r = e17(600, 17);
+        let r = e17(&RunCtx::default(), 600, 17);
         assert!(r.pass(), "{}", r.render());
     }
 }

@@ -4,10 +4,13 @@
 //! per experiment plus an aggregate suite record (`BENCH_reproduce.json`).
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use fair_simlab::metrics;
-use fair_simlab::{ExpRecord, Progress, ReportRecord, RowRecord, SuiteRecord};
+use fair_core::progressive::Progressive;
+use fair_core::RunCtx;
+use fair_simlab::{ExpRecord, Observer, ReportRecord, RowRecord, SuiteRecord};
+use fair_trace::capture::DEFAULT_RING;
+use fair_trace::{Capture, CaptureFilter, Transcript};
 
 use crate::table::Report;
 
@@ -15,7 +18,7 @@ use crate::table::Report;
 /// directory.
 pub const RECORD_DIR: &str = "target/simlab";
 
-/// The base seed every experiment binary runs with.
+/// The base seed `reproduce` runs every experiment with.
 pub const BASE_SEED: u64 = 0xfa1e;
 
 /// Transcripts sampled per experiment by `reproduce --trace`.
@@ -43,7 +46,7 @@ pub fn to_report_records(reports: &[Report]) -> Vec<ReportRecord> {
         .collect()
 }
 
-/// Runs one experiment with metrics collection enabled — both simlab's
+/// Runs one experiment with metrics collection — both simlab's
 /// wall-clock latency pipeline and `fair-trace`'s deterministic
 /// per-protocol counters — returning the rendered reports and the
 /// structured execution record. `None` for an unknown id.
@@ -55,7 +58,7 @@ pub fn run_recorded(id: &str, trials: usize, seed: u64) -> Option<(Vec<Report>, 
 /// `epsilon` is set, every `estimate()` call inside the experiment stops
 /// once its 95% half-width reaches it, and the record carries the
 /// trials-used vs trials-requested accounting in its `adaptive` block.
-/// Either way the run enters the `(id, seed)` tile-cache group, so a
+/// Either way the run is scoped to the `(id, seed)` tile-cache group, so a
 /// process with an installed tile store reuses every full tile it has
 /// already computed.
 pub fn run_recorded_with(
@@ -64,33 +67,39 @@ pub fn run_recorded_with(
     seed: u64,
     epsilon: Option<f64>,
 ) -> Option<(Vec<Report>, ExpRecord)> {
-    metrics::set_enabled(true);
-    fair_trace::metrics::set_enabled(true);
-    let progress = Progress::start(id, 0, Duration::from_secs(2));
-    let t0 = Instant::now();
-    let run = || fair_tiles::with_group(id, seed, || crate::run_experiment(id, trials, seed));
-    let (reports, adaptive) = match epsilon {
-        None => (run(), None),
-        Some(eps) => {
-            let (reports, summary) = fair_core::progressive::scoped(eps, None, run);
-            (
-                reports,
-                Some(fair_simlab::AdaptiveSummary {
-                    epsilon: eps,
-                    estimates: summary.estimates,
-                    early_stops: summary.early_stops,
-                    trials_requested: summary.trials_requested,
-                    trials_used: summary.trials_used,
-                }),
-            )
-        }
+    recorded(id, trials, seed, epsilon, None).map(|(reports, record, _)| (reports, record))
+}
+
+/// One recorded experiment in a fresh [`RunCtx`]: an observer printing
+/// the progress line, the installed tile store scoped to `(id, seed)`,
+/// progressive settings when `epsilon` is set, and `capture` if given.
+/// Also returns the captured transcripts (empty without a capture).
+fn recorded(
+    id: &str,
+    trials: usize,
+    seed: u64,
+    epsilon: Option<f64>,
+    capture: Option<Capture>,
+) -> Option<(Vec<Report>, ExpRecord, Vec<Transcript>)> {
+    let ctx = RunCtx {
+        observer: Some(Observer::new(Some(id))),
+        capture,
+        tiles: fair_tiles::Scope::installed(id, seed),
+        progressive: epsilon.map(|eps| Progressive::new(eps, None)),
     };
-    let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    drop(progress);
-    let latency = metrics::drain_latency();
-    let protocols = fair_trace::metrics::drain();
-    metrics::set_enabled(false);
-    fair_trace::metrics::set_enabled(false);
+    let observer = ctx.observer.as_ref().expect("the runner always observes");
+    let (reports, wall_ms) = observer.reporting(|| {
+        let t0 = Instant::now();
+        let reports = crate::run_experiment(&ctx, id, trials, seed);
+        (reports, t0.elapsed().as_secs_f64() * 1000.0)
+    });
+    let RunCtx {
+        observer,
+        capture,
+        progressive,
+        ..
+    } = ctx;
+    let (latency, protocols) = observer.map(Observer::finish).unwrap_or_default();
     let reports = reports?;
     let record = ExpRecord {
         id: id.to_string(),
@@ -99,12 +108,13 @@ pub fn run_recorded_with(
         jobs: fair_simlab::effective_jobs(),
         wall_ms,
         latency,
-        protocols,
+        protocols: protocols.drain(),
         pass: reports.iter().all(Report::pass),
-        adaptive,
+        adaptive: progressive.as_ref().map(Progressive::summary),
         reports: to_report_records(&reports),
     };
-    Some((reports, record))
+    let transcripts = capture.map(Capture::finish).unwrap_or_default();
+    Some((reports, record, transcripts))
 }
 
 /// Options for a `reproduce` suite run, parsed from the CLI.
@@ -140,16 +150,13 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteRecord, String> {
     let total = opts.ids.len();
     let mut experiments = Vec::with_capacity(total);
     for (k, id) in opts.ids.iter().enumerate() {
+        let capture = opts
+            .trace
+            .then(|| Capture::new(CaptureFilter::FirstN(SUITE_TRACE_SAMPLE), DEFAULT_RING));
+        let (reports, record, transcripts) =
+            recorded(id, opts.trials, opts.seed, opts.epsilon, capture)
+                .ok_or_else(|| format!("unknown experiment id: {id}"))?;
         if opts.trace {
-            fair_trace::capture::begin(
-                fair_trace::capture::CaptureFilter::FirstN(SUITE_TRACE_SAMPLE),
-                fair_trace::capture::DEFAULT_RING,
-            );
-        }
-        let run = run_recorded_with(id, opts.trials, opts.seed, opts.epsilon);
-        let captured = opts.trace.then(fair_trace::capture::end);
-        let (reports, record) = run.ok_or_else(|| format!("unknown experiment id: {id}"))?;
-        if let Some(transcripts) = captured {
             let dir = Path::new(crate::tracecli::TRACE_DIR);
             match crate::tracecli::write_transcripts(dir, id, opts.trials, opts.seed, &transcripts)
             {
@@ -218,32 +225,13 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteRecord, String> {
     Ok(suite)
 }
 
-/// Shared `main` for the single-experiment `exp_*` binaries: runs one
-/// experiment at [`BASE_SEED`] with `FAIR_TRIALS`/`FAIR_JOBS` honored,
-/// prints its tables, persists its record, and exits nonzero on failure.
-pub fn exp_main(id: &str) {
-    let trials = crate::default_trials();
-    let (reports, record) = run_recorded(id, trials, BASE_SEED).expect("known experiment");
-    for r in &reports {
-        println!("{}", r.render());
-    }
-    eprintln!("[simlab] {id}: {:.1}ms wall clock", record.wall_ms);
-    if let Err(e) = record.write(Path::new(RECORD_DIR)) {
-        eprintln!("warning: could not persist {RECORD_DIR}/{id}.json: {e}");
-    }
-    if !record.pass {
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn unknown_id_is_none_and_disables_metrics() {
+    fn unknown_id_is_none() {
         assert!(run_recorded("e99", 10, 1).is_none());
-        assert!(!metrics::enabled());
     }
 
     #[test]
@@ -265,6 +253,5 @@ mod tests {
             assert_eq!(p.rounds.count, 20, "{}", p.name);
             assert!(p.msgs.total > 0, "{}", p.name);
         }
-        assert!(!fair_trace::metrics::enabled());
     }
 }

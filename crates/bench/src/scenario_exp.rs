@@ -15,13 +15,14 @@ use std::sync::{Arc, OnceLock};
 
 use fair_core::cost::CostFn;
 use fair_core::strategy::CorruptionPlan;
-use fair_core::{analytic, best_of, Payoff, Scenario, UtilityEstimate};
+use fair_core::{analytic, Payoff, RunCtx};
 use fair_protocols::scenarios::{coin_toss_sweep, gk_sweep, Opt2Scenario, Strategy};
 use fair_runtime::Value;
 use fair_scenario::{load_dir, Family, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
+use crate::experiments::best;
 use crate::table::{Report, Row};
 
 /// Same pass/fail slack the static experiments use.
@@ -54,39 +55,31 @@ pub fn listing() -> Vec<(String, String)> {
 /// Runs the scenario with the given id; `None` if no compiled scenario
 /// claims it. Deterministic in `(trials, seed)` like every static
 /// experiment.
-pub fn run(id: &str, trials: usize, seed: u64) -> Option<Vec<Report>> {
+pub fn run(ctx: &RunCtx, id: &str, trials: usize, seed: u64) -> Option<Vec<Report>> {
     let spec = specs().iter().find(|s| s.id == id)?;
-    Some(vec![run_spec(spec, trials, seed)])
+    Some(vec![run_spec(ctx, spec, trials, seed)])
 }
 
-fn run_spec(spec: &ScenarioSpec, trials: usize, seed: u64) -> Report {
+fn run_spec(ctx: &RunCtx, spec: &ScenarioSpec, trials: usize, seed: u64) -> Report {
     let rows = match &spec.family {
         Family::DepositCoinToss {
             g00,
             g10,
             g11,
             deposits,
-        } => deposit_rows(*g00, *g10, *g11, deposits, trials, seed),
+        } => deposit_rows(ctx, *g00, *g10, *g11, deposits, trials, seed),
         Family::AbortHeatmap {
             g00,
             g11,
             g10,
             costs,
             rounds,
-        } => heatmap_rows(*g00, *g11, g10, costs, *rounds, trials, seed),
-        Family::PartialFairness { p, abort_rounds } => partial_rows(p, *abort_rounds, trials, seed),
+        } => heatmap_rows(ctx, *g00, *g11, g10, costs, *rounds, trials, seed),
+        Family::PartialFairness { p, abort_rounds } => {
+            partial_rows(ctx, p, *abort_rounds, trials, seed)
+        }
     };
     Report::new(&spec.id, &spec.title, rows)
-}
-
-fn best<S: Scenario + Sync>(
-    scenarios: &[S],
-    payoff: &Payoff,
-    trials: usize,
-    seed: u64,
-) -> UtilityEstimate {
-    let (ests, idx) = best_of(scenarios, payoff, trials, seed);
-    ests[idx].clone()
 }
 
 /// Penalty-deposit coin toss: the deposit is forfeited on abort, so the
@@ -94,6 +87,7 @@ fn best<S: Scenario + Sync>(
 /// here: the coin toss has no secret to learn, truth ⊥ pins events to
 /// E₀₀/E₀₁). The best deviation therefore nets exactly max(γ00 − d, γ01).
 fn deposit_rows(
+    ctx: &RunCtx,
     g00: f64,
     g10: f64,
     g11: f64,
@@ -107,6 +101,7 @@ fn deposit_rows(
     for (i, d) in deposits.iter().enumerate() {
         let payoff = base.with_abort_penalty(*d);
         let u = best(
+            ctx,
             &coin_toss_sweep(),
             &payoff,
             trials,
@@ -142,7 +137,9 @@ fn deposit_rows(
 /// strategies is the e2 bound (γ10 + γ11)/2 (lock-and-abort attains it);
 /// per cell the attacker's net is that value minus the price of the one
 /// corruption a two-party abort attack needs.
+#[allow(clippy::too_many_arguments)] // the family's five fields plus the run's three
 fn heatmap_rows(
+    ctx: &RunCtx,
     g00: f64,
     g11: f64,
     g10s: &[f64],
@@ -168,7 +165,13 @@ fn heatmap_rows(
                 strategy: Strategy::AbortAtRound(CorruptionPlan::Fixed(vec![0]), r),
             });
         }
-        let u = best(&sweep, &payoff, trials, seed.wrapping_add((i as u64) << 16));
+        let u = best(
+            ctx,
+            &sweep,
+            &payoff,
+            trials,
+            seed.wrapping_add((i as u64) << 16),
+        );
         rows.push(Row::vs_paper(
             format!("γ10={g10:.2}: best abort = (γ10+γ11)/2"),
             bound,
@@ -215,7 +218,13 @@ fn heatmap_rows(
 /// Gordon–Katz 1/p curve: for each p, the best abort attack against the
 /// poly-domain protocol (AND on bits, |Y| = 2) stays at or below 1/p,
 /// with the m = 8·p·|Y| round count the construction prescribes.
-fn partial_rows(ps: &[u64], abort_rounds: usize, trials: usize, seed: u64) -> Vec<Row> {
+fn partial_rows(
+    ctx: &RunCtx,
+    ps: &[u64],
+    abort_rounds: usize,
+    trials: usize,
+    seed: u64,
+) -> Vec<Row> {
     let payoff = Payoff::gk();
     let bit: fair_protocols::gordon_katz::ValueSampler =
         Arc::new(|rng: &mut StdRng| Value::Scalar(rng.random_range(0..2)));
@@ -232,7 +241,7 @@ fn partial_rows(ps: &[u64], abort_rounds: usize, trials: usize, seed: u64) -> Ve
             Arc::clone(&bit),
         );
         let rounds: Vec<usize> = (1..=abort_rounds).collect();
-        let u = best(&gk_sweep(&cfg, &rounds), &payoff, trials, seed ^ p);
+        let u = best(ctx, &gk_sweep(&cfg, &rounds), &payoff, trials, seed ^ p);
         rows.push(Row::upper_bound(
             format!("p={p}: best abort attack ≤ 1/p"),
             analytic::gk_bound(*p),
@@ -280,7 +289,7 @@ mod tests {
 
     #[test]
     fn deposit_family_reproduces_its_threshold() {
-        let reports = run("s_deposit_coin", 60, 11).expect("registered");
+        let reports = run(&RunCtx::default(), "s_deposit_coin", 60, 11).expect("registered");
         assert_eq!(reports.len(), 1);
         assert!(
             reports[0].pass(),
@@ -291,7 +300,7 @@ mod tests {
 
     #[test]
     fn unknown_ids_stay_unknown() {
-        assert!(run("s_nope", 10, 1).is_none());
-        assert!(run("e1", 10, 1).is_none());
+        assert!(run(&RunCtx::default(), "s_nope", 10, 1).is_none());
+        assert!(run(&RunCtx::default(), "e1", 10, 1).is_none());
     }
 }

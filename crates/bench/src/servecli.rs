@@ -11,9 +11,12 @@ use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use fair_core::progressive::Progressive;
+use fair_core::RunCtx;
 use fair_serve::service::Backend;
 use fair_serve::{client, Conn, HttpReply, ProgressUpdate};
 use fair_simlab::json::{self, Json};
+use fair_simlab::Observer;
 use fair_trace::QuantileSummary;
 
 /// Where `fair-load` persists its full run record.
@@ -23,7 +26,9 @@ pub const LOAD_RECORD_PATH: &str = "target/simlab/serve_load.json";
 /// cold vs warm), tracked across commits like `BENCH_reproduce.json`.
 pub const BENCH_SERVE_PATH: &str = "BENCH_serve.json";
 
-/// The real registry as a serve backend.
+/// The real registry as a serve backend. Every estimation it runs records
+/// its per-protocol metrics into [`fair_serve::PROTOCOLS`], the store
+/// behind `/metrics`.
 pub struct ExperimentBackend;
 
 impl Backend for ExperimentBackend {
@@ -32,7 +37,7 @@ impl Backend for ExperimentBackend {
     }
 
     fn estimate(&self, exp: &str, trials: usize, seed: u64) -> Option<String> {
-        rendered_result(exp, trials, seed)
+        observed(exp, seed, None, |ctx| render(ctx, exp, trials, seed))
     }
 
     fn estimate_progressive(
@@ -47,15 +52,45 @@ impl Backend for ExperimentBackend {
     }
 }
 
-/// Runs `(exp, trials, seed)` and renders its canonical result document —
-/// the exact bytes both the serve path and the byte-identity tests use.
-/// The run enters the `(exp, seed)` tile-cache group, so when a tile store
-/// is installed, previously computed 64-trial tiles are reused and newly
-/// computed ones are recorded.
-pub fn rendered_result(exp: &str, trials: usize, seed: u64) -> Option<String> {
-    let reports = fair_tiles::with_group(exp, seed, || crate::run_experiment(exp, trials, seed))?;
+/// Runs `f` in a backend run's context — the installed tile store scoped
+/// to `(exp, seed)`, `progressive`, and an observer whose per-protocol
+/// metrics move into `/metrics` afterwards — and returns its value.
+fn observed<T>(
+    exp: &str,
+    seed: u64,
+    progressive: Option<Progressive>,
+    f: impl FnOnce(&RunCtx) -> T,
+) -> T {
+    let ctx = RunCtx {
+        observer: Some(Observer::new(None)),
+        tiles: fair_tiles::Scope::installed(exp, seed),
+        progressive,
+        ..RunCtx::default()
+    };
+    let out = f(&ctx);
+    if let Some(observer) = ctx.observer {
+        fair_serve::PROTOCOLS.absorb(observer.finish().1);
+    }
+    out
+}
+
+fn render(ctx: &RunCtx, exp: &str, trials: usize, seed: u64) -> Option<String> {
+    let reports = crate::run_experiment(ctx, exp, trials, seed)?;
     let records = crate::runner::to_report_records(&reports);
     Some(fair_simlab::result_json(exp, trials, seed, &records).render_pretty() + "\n")
+}
+
+/// Runs `(exp, trials, seed)` and renders its canonical result document —
+/// the exact bytes both the serve path and the byte-identity tests use.
+/// The run is scoped to the `(exp, seed)` tile-cache group, so when a tile
+/// store is installed, previously computed 64-trial tiles are reused and
+/// newly computed ones are recorded.
+pub fn rendered_result(exp: &str, trials: usize, seed: u64) -> Option<String> {
+    let ctx = RunCtx {
+        tiles: fair_tiles::Scope::installed(exp, seed),
+        ..RunCtx::default()
+    };
+    render(&ctx, exp, trials, seed)
 }
 
 /// Runs `(exp, trials, seed)` adaptively — each `estimate()` inside the
@@ -76,14 +111,16 @@ pub fn progressive_result(
         return None;
     }
     let (tx, rx) = mpsc::channel();
-    let (reports, summary) = std::thread::scope(|scope| {
+    let (reports, adaptive) = std::thread::scope(|scope| {
         let worker = scope.spawn(move || {
-            fair_core::progressive::scoped(epsilon, Some(tx), || {
-                fair_tiles::with_group(exp, seed, || crate::run_experiment(exp, trials, seed))
+            let progressive = Progressive::new(epsilon, Some(tx));
+            observed(exp, seed, Some(progressive), |ctx| {
+                let reports = crate::run_experiment(ctx, exp, trials, seed);
+                (reports, ctx.progressive.as_ref().map(Progressive::summary))
             })
         });
         // Relay frames while the worker runs; the channel closes when the
-        // scoped context (and its Sender) drops.
+        // run's context (and its Sender) drops.
         for update in rx {
             emit(ProgressUpdate {
                 scenario: update.scenario,
@@ -94,17 +131,10 @@ pub fn progressive_result(
                 done: update.done,
             });
         }
-        worker.join().unwrap_or((None, Default::default()))
+        worker.join().unwrap_or((None, None))
     });
-    let reports = reports?;
+    let (reports, adaptive) = (reports?, adaptive?);
     let records = crate::runner::to_report_records(&reports);
-    let adaptive = fair_simlab::AdaptiveSummary {
-        epsilon,
-        estimates: summary.estimates,
-        early_stops: summary.early_stops,
-        trials_requested: summary.trials_requested,
-        trials_used: summary.trials_used,
-    };
     let doc = Json::obj()
         .field("adaptive", adaptive.to_json())
         .field(

@@ -4,9 +4,9 @@
 //!
 //! A recorded trace file is self-describing — its header names the target,
 //! trial count, base seed, and ring capacity — so `replay` re-executes
-//! exactly the one trial it needs: it arms `fair_trace::capture` with the
-//! recorded trial seed (seed selection is a pure function of the trial
-//! index, hence jobs-independent), re-runs the target, and byte-compares
+//! exactly the one trial it needs: it runs the target with a
+//! [`Capture`] selecting the recorded trial seed (seed selection is a pure
+//! function of the trial index, hence jobs-independent) and byte-compares
 //! the fresh rendering against the file. An empty diff certifies that the
 //! engine, protocols, and strategies reproduce the recorded execution
 //! event for event.
@@ -15,14 +15,14 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use fair_core::{best_of, Payoff};
+use fair_core::{best_of, Payoff, RunCtx};
 use fair_protocols::gordon_katz::{GkConfig, ValueSampler};
 use fair_protocols::opt2::TwoPartyFn;
 use fair_protocols::scenarios::{coin_toss_sweep, gk_sweep};
 use fair_runtime::Value;
 use fair_simlab::json::Json;
-use fair_trace::capture::{self, CaptureFilter, DEFAULT_RING};
-use fair_trace::{diff_text, Diff, ExecStats, Transcript};
+use fair_trace::capture::DEFAULT_RING;
+use fair_trace::{diff_text, Capture, CaptureFilter, Diff, ExecStats, Transcript};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -52,12 +52,12 @@ pub fn is_target(id: &str) -> bool {
         || crate::scenario_exp::specs().iter().any(|s| s.id == id)
 }
 
-/// Runs a target for its side effects on the armed trace collectors,
+/// Runs a target for its side effects on the context's collectors,
 /// discarding reports/estimates. `false` for an unknown target.
-pub fn run_target(id: &str, trials: usize, seed: u64) -> bool {
+pub fn run_target(ctx: &RunCtx, id: &str, trials: usize, seed: u64) -> bool {
     match id {
         "exp_coin_toss" => {
-            let _ = best_of(&coin_toss_sweep(), &Payoff::standard(), trials, seed);
+            let _ = best_of(ctx, &coin_toss_sweep(), &Payoff::standard(), trials, seed);
             true
         }
         "exp_gordon_katz" => {
@@ -67,10 +67,10 @@ pub fn run_target(id: &str, trials: usize, seed: u64) -> bool {
                 Value::Scalar((a.as_scalar().unwrap_or(0) & 1) & (b.as_scalar().unwrap_or(0) & 1))
             });
             let cfg = GkConfig::poly_domain(and_fn, 2, 2, Arc::clone(&bit), bit);
-            let _ = best_of(&gk_sweep(&cfg, &[1, 2]), &Payoff::gk(), trials, seed);
+            let _ = best_of(ctx, &gk_sweep(&cfg, &[1, 2]), &Payoff::gk(), trials, seed);
             true
         }
-        _ => crate::run_experiment(id, trials, seed).is_some(),
+        _ => crate::run_experiment(ctx, id, trials, seed).is_some(),
     }
 }
 
@@ -163,8 +163,21 @@ fn render_trace_file(
     )
 }
 
+/// Runs a known target with `capture` as the run's only context and
+/// returns what it collected.
+fn captured(capture: Capture, target: &str, trials: usize, seed: u64) -> Vec<Transcript> {
+    let ctx = RunCtx {
+        capture: Some(capture),
+        ..RunCtx::default()
+    };
+    run_target(&ctx, target, trials, seed);
+    ctx.capture.map(Capture::finish).unwrap_or_default()
+}
+
 /// Writes one `.trace` file per transcript under `dir/<target>/`, named by
-/// trial seed. Returns the paths in seed order.
+/// trial seed. Returns the paths in seed order. The transcripts must come
+/// from a capture with the [`DEFAULT_RING`] capacity, which the files
+/// record.
 pub fn write_transcripts(
     dir: &Path,
     target: &str,
@@ -174,7 +187,7 @@ pub fn write_transcripts(
 ) -> std::io::Result<Vec<PathBuf>> {
     let sub = dir.join(target);
     std::fs::create_dir_all(&sub)?;
-    let ring = capture::ring_capacity();
+    let ring = DEFAULT_RING;
     let mut paths = Vec::with_capacity(transcripts.len());
     for t in transcripts {
         let path = sub.join(format!("{:016x}.trace", t.seed));
@@ -197,9 +210,8 @@ pub fn record(
     if !is_target(target) {
         return Err(format!("unknown target {target:?} (see `fair-trace list`)"));
     }
-    capture::begin(CaptureFilter::FirstN(sample), DEFAULT_RING);
-    fair_simlab::with_jobs(1, || run_target(target, trials, base_seed));
-    let transcripts = capture::end();
+    let capture = Capture::new(CaptureFilter::FirstN(sample), DEFAULT_RING);
+    let transcripts = fair_simlab::with_jobs(1, || captured(capture, target, trials, base_seed));
     write_transcripts(dir, target, trials, base_seed, &transcripts)
         .map_err(|e| format!("could not write transcripts: {e}"))
 }
@@ -217,9 +229,8 @@ pub fn replay_file(path: &Path) -> Result<Option<Diff>, String> {
             tf.target
         ));
     }
-    capture::begin(CaptureFilter::Seeds(BTreeSet::from([tf.seed])), tf.ring);
-    run_target(&tf.target, tf.trials, tf.base_seed);
-    let got = capture::end();
+    let capture = Capture::new(CaptureFilter::Seeds(BTreeSet::from([tf.seed])), tf.ring);
+    let got = captured(capture, &tf.target, tf.trials, tf.base_seed);
     let replayed = got.into_iter().next().ok_or_else(|| {
         format!(
             "{}: replay never reached trial seed 0x{:016x} (recorded with different trials?)",
@@ -313,9 +324,8 @@ pub fn top(
     }
     // Ring capacity 0: stats only, no event retention — capturing every
     // trial stays cheap.
-    capture::begin(CaptureFilter::FirstN(usize::MAX), 0);
-    run_target(target, trials, seed);
-    let mut entries: Vec<TopEntry> = capture::end()
+    let capture = Capture::new(CaptureFilter::FirstN(usize::MAX), 0);
+    let mut entries: Vec<TopEntry> = captured(capture, target, trials, seed)
         .into_iter()
         .map(|t| TopEntry {
             seed: t.seed,
@@ -383,7 +393,7 @@ mod tests {
             assert!(is_target(id), "{id}");
         }
         assert!(!is_target("e99"));
-        assert!(!run_target("e99", 1, 1));
+        assert!(!run_target(&RunCtx::default(), "e99", 1, 1));
     }
 
     #[test]

@@ -8,8 +8,8 @@ use fair_bench::runner::BASE_SEED;
 use fair_bench::tracecli::{record, replay_file, trace_files};
 use fair_simlab::with_jobs;
 
-/// One test function on purpose: `fair_trace::capture` is process-global,
-/// and the harness runs `#[test]` functions of one binary concurrently.
+/// Records ten `(target, seed)` pairs, then replays each under one and four
+/// workers.
 #[test]
 fn recorded_transcripts_replay_identically_under_any_job_count() {
     let dir = std::env::temp_dir().join(format!("fair-trace-replay-{}", std::process::id()));

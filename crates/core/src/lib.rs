@@ -14,6 +14,8 @@
 //! * [`payoff`] — payoff vectors and the classes Γ_fair / Γ⁺_fair.
 //! * [`utility`] — Monte-Carlo estimation of u_A(Π, A) over seeded
 //!   executions ([`Scenario`], [`estimate`], [`best_of`]).
+//! * [`ctx`] — the [`RunCtx`] every estimation runs in: observer,
+//!   transcript capture, tile scope, and progressive settings.
 //! * [`strategy`] — the paper's proof adversaries as a generic library
 //!   (lock-and-abort, abort-round sweeps, honest baselines).
 //! * [`fairness`] — the relative-fairness partial order (Def. 1) and
@@ -39,6 +41,7 @@
 pub mod analytic;
 pub mod balance;
 pub mod cost;
+pub mod ctx;
 pub mod event;
 pub mod fairness;
 pub mod game;
@@ -50,6 +53,7 @@ pub mod stats;
 pub mod strategy;
 pub mod utility;
 
+pub use ctx::RunCtx;
 pub use event::{classify, truth_from_ledger, Event, HonestCriterion};
 pub use payoff::{Payoff, PayoffError};
 pub use utility::{best_of, estimate, run_once, run_once_traced, Scenario, Trial, UtilityEstimate};

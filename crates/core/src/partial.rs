@@ -9,6 +9,8 @@
 //! protocol Π̃ is 1/2-secure yet fails the F^$-based notion) is asserted on
 //! exactly these reports.
 
+use crate::ctx::RunCtx;
+
 /// An estimated acceptance probability.
 #[derive(Clone, Copy, Debug)]
 pub struct Acceptance {
@@ -26,25 +28,33 @@ pub struct Acceptance {
 /// Per-trial seeds come from [`fair_simlab::trial_seed`] and trials are
 /// sharded across the simlab scheduler; like [`crate::utility::estimate`],
 /// the result is bit-identical for every worker count (hit counts are
-/// integers, so shard merges are exact).
+/// integers, so shard merges are exact). The run's observer, if any,
+/// counts the trials (they carry no latency or protocol metrics).
 ///
 /// # Examples
 ///
 /// ```
 /// use fair_core::partial::acceptance;
+/// use fair_core::RunCtx;
 ///
 /// // trial_seed output is uniform over u64, so `seed % 4 == 0` accepts a
 /// // quarter of the time.
-/// let a = acceptance(|seed| seed % 4 == 0, 1000, 0);
+/// let a = acceptance(&RunCtx::default(), |seed| seed % 4 == 0, 1000, 0);
 /// assert!((a.rate - 0.25).abs() < 0.05);
 /// ```
 ///
 /// # Panics
 ///
 /// Panics if `trials == 0`.
-pub fn acceptance<F: Fn(u64) -> bool + Sync>(run: F, trials: usize, seed: u64) -> Acceptance {
+pub fn acceptance<F: Fn(u64) -> bool + Sync>(
+    ctx: &RunCtx,
+    run: F,
+    trials: usize,
+    seed: u64,
+) -> Acceptance {
     assert!(trials > 0, "need at least one trial");
     let hits: usize = fair_simlab::run_tiled(trials, |range| {
+        ctx.count_trials(range.len());
         range
             .filter(|&t| run(fair_simlab::trial_seed(seed, t as u64)))
             .count()
@@ -97,15 +107,16 @@ impl Distinguish {
 
 /// Runs a distinguishing experiment.
 pub fn distinguish<R: Fn(u64) -> bool + Sync, I: Fn(u64) -> bool + Sync>(
+    ctx: &RunCtx,
     real: R,
     ideal: I,
     trials: usize,
     seed: u64,
 ) -> Distinguish {
     Distinguish {
-        real: acceptance(real, trials, seed),
+        real: acceptance(ctx, real, trials, seed),
         // Decorrelate the ideal runs from the real runs.
-        ideal: acceptance(ideal, trials, seed ^ 0x9e37_79b9_7f4a_7c15),
+        ideal: acceptance(ctx, ideal, trials, seed ^ 0x9e37_79b9_7f4a_7c15),
     }
 }
 
@@ -115,33 +126,38 @@ mod tests {
 
     #[test]
     fn acceptance_of_constant_experiments() {
-        let a = acceptance(|_| true, 100, 0);
+        let a = acceptance(&RunCtx::default(), |_| true, 100, 0);
         assert_eq!(a.rate, 1.0);
         // Wilson intervals stay honest at the extremes: the uncertainty is
         // small but *not* zero after only 100 trials.
         assert!(a.ci > 0.0 && a.ci < 0.04, "ci = {}", a.ci);
-        let b = acceptance(|_| false, 100, 0);
+        let b = acceptance(&RunCtx::default(), |_| false, 100, 0);
         assert_eq!(b.rate, 0.0);
     }
 
     #[test]
     fn acceptance_of_biased_coin() {
         // Deterministic pseudo-coin from the seed.
-        let a = acceptance(|s| s.wrapping_mul(0x9e3779b97f4a7c15) % 4 == 0, 4000, 7);
+        let a = acceptance(
+            &RunCtx::default(),
+            |s| s.wrapping_mul(0x9e3779b97f4a7c15) % 4 == 0,
+            4000,
+            7,
+        );
         assert!((a.rate - 0.25).abs() < 0.05, "rate = {}", a.rate);
         assert!(a.ci > 0.0);
     }
 
     #[test]
     fn identical_worlds_have_no_advantage() {
-        let d = distinguish(|s| s % 2 == 0, |s| s % 2 == 0, 2000, 3);
+        let d = distinguish(&RunCtx::default(), |s| s % 2 == 0, |s| s % 2 == 0, 2000, 3);
         assert!(d.within(0.05));
         assert!(!d.exceeds(0.05));
     }
 
     #[test]
     fn separated_worlds_show_advantage() {
-        let d = distinguish(|_| true, |s| s % 2 == 0, 2000, 4);
+        let d = distinguish(&RunCtx::default(), |_| true, |s| s % 2 == 0, 2000, 4);
         assert!((d.advantage() - 0.5).abs() < 0.05);
         assert!(d.exceeds(0.3));
         assert!(!d.within(0.3));

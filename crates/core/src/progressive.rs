@@ -1,4 +1,4 @@
-//! Progressive (CI-bounded) estimation context.
+//! Progressive (CI-bounded) estimation settings.
 //!
 //! An adaptive run trades a fixed trial budget for a precision target: the
 //! estimator keeps executing tile batches until the 95% confidence
@@ -7,21 +7,22 @@
 //! of the integer tallies, so adaptive results are bit-identical for every
 //! worker count — exactly like fixed-budget ones.
 //!
-//! The context travels thread-locally: [`scoped`] arms the calling thread
-//! with an epsilon (and an optional live-update channel), runs a closure —
-//! typically a whole experiment making many [`crate::estimate`] calls —
-//! and returns the closure's value together with an aggregated [`Summary`]
-//! of trials used versus requested. `estimate` checks the ambient context
-//! and diverts to its chunked adaptive path when one is armed; with no
-//! context armed, nothing changes.
+//! The settings travel in the run's context: a run built with a
+//! [`Progressive`] (`RunCtx::progressive`) sends every
+//! [`crate::estimate`] call down its chunked adaptive path, and
+//! [`Progressive::summary`] aggregates trials used versus requested over
+//! all of them, as the record's [`AdaptiveSummary`] block. A run without
+//! one is unchanged.
 //!
 //! Updates cross threads through an `mpsc` channel rather than a callback
 //! so the consumer (e.g. the serve streaming endpoint, which must write
 //! progress frames to a live socket) never needs a `'static` borrow of the
-//! producer's state.
+//! producer's state. The channel closes when the settings are dropped.
 
-use std::cell::RefCell;
 use std::sync::mpsc::Sender;
+use std::sync::Mutex;
+
+use fair_simlab::AdaptiveSummary;
 
 /// One progress frame: the running estimate after a tile batch.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,116 +41,78 @@ pub struct Update {
     pub done: bool,
 }
 
-/// Aggregated adaptive accounting over a [`scoped`] region.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Summary {
-    /// `estimate()` calls that ran adaptively.
-    pub estimates: u64,
-    /// Calls that stopped before exhausting their budget.
-    pub early_stops: u64,
-    /// Total trials requested.
-    pub trials_requested: u64,
-    /// Total trials executed.
-    pub trials_used: u64,
-}
-
-struct Ctx {
-    epsilon: f64,
+/// The progressive settings of one run: the precision target, the
+/// optional live-update channel, and the accounting so far.
+#[derive(Debug)]
+pub struct Progressive {
     tx: Option<Sender<Update>>,
-    summary: Summary,
+    summary: Mutex<AdaptiveSummary>,
 }
 
-thread_local! {
-    static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with adaptive estimation armed at precision `epsilon` on this
-/// thread, returning `f`'s value and the aggregated accounting. Frames go
-/// to `tx` when provided (send failures are ignored — a hung-up consumer
-/// must not stop the computation). Scopes restore the previous context on
-/// exit, including unwinds.
-pub fn scoped<T>(epsilon: f64, tx: Option<Sender<Update>>, f: impl FnOnce() -> T) -> (T, Summary) {
-    struct Restore(Option<Ctx>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CTX.with(|c| *c.borrow_mut() = self.0.take());
+impl Progressive {
+    /// Adaptive estimation at precision `epsilon`. Frames go to `tx` when
+    /// provided (send failures are ignored — a hung-up consumer must not
+    /// stop the computation).
+    pub fn new(epsilon: f64, tx: Option<Sender<Update>>) -> Progressive {
+        Progressive {
+            tx,
+            summary: Mutex::new(AdaptiveSummary {
+                epsilon,
+                ..AdaptiveSummary::default()
+            }),
         }
     }
-    let prev = CTX.with(|c| {
-        c.borrow_mut().replace(Ctx {
-            epsilon,
-            tx,
-            summary: Summary::default(),
-        })
-    });
-    let mut restore = Restore(prev);
-    let value = f();
-    let summary = CTX.with(|c| {
-        let mut slot = c.borrow_mut();
-        let summary = slot.as_ref().map(|ctx| ctx.summary).unwrap_or_default();
-        *slot = restore.0.take();
-        summary
-    });
-    core::mem::forget(restore);
-    (value, summary)
-}
 
-/// The armed epsilon, if adaptive estimation is active on this thread.
-pub(crate) fn epsilon() -> Option<f64> {
-    CTX.with(|c| c.borrow().as_ref().map(|ctx| ctx.epsilon))
-}
+    /// The precision target.
+    pub fn epsilon(&self) -> f64 {
+        self.summary().epsilon
+    }
 
-/// Emits a progress frame to the armed channel (no-op otherwise).
-pub(crate) fn emit(update: Update) {
-    CTX.with(|c| {
-        if let Some(Ctx { tx: Some(tx), .. }) = c.borrow().as_ref() {
+    /// The accounting of every adaptive `estimate()` call so far.
+    pub fn summary(&self) -> AdaptiveSummary {
+        *self.summary.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Emits a progress frame to the channel (no-op without one).
+    pub(crate) fn emit(&self, update: Update) {
+        if let Some(tx) = &self.tx {
             let _ = tx.send(update);
         }
-    });
-}
+    }
 
-/// Books one finished adaptive `estimate()` call into the scope summary.
-pub(crate) fn note(requested: usize, used: usize, early: bool) {
-    CTX.with(|c| {
-        if let Some(ctx) = c.borrow_mut().as_mut() {
-            ctx.summary.estimates += 1;
-            ctx.summary.early_stops += u64::from(early);
-            ctx.summary.trials_requested += requested as u64;
-            ctx.summary.trials_used += used as u64;
-        }
-    });
+    /// Books one finished adaptive `estimate()` call into the summary.
+    pub(crate) fn note(&self, requested: usize, used: usize, early: bool) {
+        let mut summary = self.summary.lock().unwrap_or_else(|e| e.into_inner());
+        summary.estimates += 1;
+        summary.early_stops += u64::from(early);
+        summary.trials_requested += requested as u64;
+        summary.trials_used += used as u64;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn unarmed_thread_has_no_context() {
-        assert_eq!(epsilon(), None);
-        emit(Update {
-            scenario: "x".into(),
-            requested: 1,
-            trials: 1,
-            mean: 0.0,
-            ci: 0.0,
-            done: true,
-        }); // no-op
-        note(10, 10, false); // no-op
+    fn frame(trials: usize, done: bool) -> Update {
+        Update {
+            scenario: "s".into(),
+            requested: 100,
+            trials,
+            mean: 0.5,
+            ci: 0.2,
+            done,
+        }
     }
 
     #[test]
-    fn scoped_arms_and_restores() {
-        let ((), summary) = scoped(0.25, None, || {
-            assert_eq!(epsilon(), Some(0.25));
-            note(1000, 256, true);
-            note(500, 500, false);
-            // Nested scopes shadow and restore.
-            let ((), inner) = scoped(0.5, None, || note(10, 10, false));
-            assert_eq!(inner.estimates, 1);
-            assert_eq!(epsilon(), Some(0.25));
-        });
-        assert_eq!(epsilon(), None);
+    fn notes_aggregate_into_the_summary() {
+        let p = Progressive::new(0.25, None);
+        assert_eq!(p.epsilon(), 0.25);
+        p.emit(frame(1, true)); // no channel: no-op
+        p.note(1000, 256, true);
+        p.note(500, 500, false);
+        let summary = p.summary();
         assert_eq!(summary.estimates, 2);
         assert_eq!(summary.early_stops, 1);
         assert_eq!(summary.trials_requested, 1500);
@@ -157,21 +120,14 @@ mod tests {
     }
 
     #[test]
-    fn frames_cross_the_channel() {
+    fn frames_cross_the_channel_until_the_settings_drop() {
         let (tx, rx) = std::sync::mpsc::channel();
-        let ((), _) = scoped(0.1, Some(tx), || {
-            emit(Update {
-                scenario: "s".into(),
-                requested: 100,
-                trials: 64,
-                mean: 0.5,
-                ci: 0.2,
-                done: false,
-            });
-        });
+        let p = Progressive::new(0.1, Some(tx));
+        p.emit(frame(64, false));
+        drop(p);
         let got = rx.recv().expect("one frame");
         assert_eq!(got.trials, 64);
         assert!(!got.done);
-        assert!(rx.try_recv().is_err());
+        assert!(rx.recv().is_err(), "the channel closed with the settings");
     }
 }

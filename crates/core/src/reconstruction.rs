@@ -7,6 +7,7 @@
 //! round and find the first round whose abort produces an unfair event
 //! (E₁₀).
 
+use crate::ctx::RunCtx;
 use crate::event::Event;
 use crate::payoff::Payoff;
 use crate::utility::{estimate, Scenario, UtilityEstimate};
@@ -43,6 +44,7 @@ impl ReconstructionReport {
 /// whose adversary aborts at engine round `r`. An abort round is *fair*
 /// when no trial produced the event E₁₀.
 pub fn sweep<S: Scenario + Sync, F: Fn(usize) -> S>(
+    ctx: &RunCtx,
     total_rounds: usize,
     make: F,
     payoff: &Payoff,
@@ -53,6 +55,7 @@ pub fn sweep<S: Scenario + Sync, F: Fn(usize) -> S>(
     let mut estimates = Vec::with_capacity(total_rounds);
     for r in 0..total_rounds {
         let est = estimate(
+            ctx,
             &make(r),
             payoff,
             trials,

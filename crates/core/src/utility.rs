@@ -24,8 +24,10 @@ use fair_trace::{ExecStats, ProtoBatch, RecordingTracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::ctx::RunCtx;
 use crate::event::{classify, truth_from_ledger, Event, HonestCriterion};
 use crate::payoff::Payoff;
+use crate::progressive::{Progressive, Update};
 use crate::stats;
 
 /// One prepared execution: instance, attack strategy, ground truth.
@@ -189,30 +191,25 @@ pub fn run_once<S: Scenario>(
     payoff: &Payoff,
     seed: u64,
 ) -> (ExecutionResult, Event, f64) {
-    let (res, event, pay, _) = run_once_traced(scenario, payoff, seed);
+    let (res, event, pay, _) = run_once_traced(&RunCtx::default(), scenario, payoff, seed);
     (res, event, pay)
 }
 
-/// [`run_once`] with observability: when trace metrics or transcript
-/// capture are armed (see `fair_trace::{metrics, capture}`) the trial runs
-/// through a recording tracer and returns its [`ExecStats`]; otherwise it
-/// takes the plain [`execute`] path, whose only extra cost is one relaxed
-/// atomic load per trial.
+/// [`run_once`] with observability: when the run has an observer or a
+/// capture that wants this seed, the trial runs through a recording
+/// tracer and returns its [`ExecStats`] (submitting the transcript to the
+/// capture); otherwise it takes the plain [`execute`] path.
 pub fn run_once_traced<S: Scenario>(
+    ctx: &RunCtx,
     scenario: &S,
     payoff: &Payoff,
     seed: u64,
 ) -> (ExecutionResult, Event, f64, Option<ExecStats>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut trial = scenario.build(&mut rng);
-    let capture = fair_trace::capture::active() && fair_trace::capture::wants(seed);
-    let (res, stats) = if fair_trace::metrics::enabled() || capture {
-        let ring = if capture {
-            fair_trace::capture::ring_capacity()
-        } else {
-            0
-        };
-        let mut tracer = RecordingTracer::with_ring(ring);
+    let capture = ctx.capture.as_ref().filter(|c| c.wants(seed));
+    let (res, stats) = if ctx.observer.is_some() || capture.is_some() {
+        let mut tracer = RecordingTracer::with_ring(capture.map_or(0, |c| c.ring()));
         let res = execute_traced(
             trial.instance,
             trial.adversary.as_mut(),
@@ -222,8 +219,8 @@ pub fn run_once_traced<S: Scenario>(
         )
         .expect("scenario builds a well-formed instance");
         let stats = tracer.stats();
-        if capture {
-            fair_trace::capture::submit(tracer.into_transcript(seed));
+        if let Some(capture) = capture {
+            capture.submit(tracer.into_transcript(seed));
         }
         (res, Some(stats))
     } else {
@@ -255,19 +252,19 @@ const ADAPTIVE_MIN_TRIALS: usize = 2 * fair_simlab::TILE;
 /// Trials are sharded across the `fair-simlab` scheduler's workers; the
 /// result is bit-identical for every `--jobs` value (see the module docs).
 ///
-/// Two ambient contexts refine the execution without changing the result
-/// for a full-budget run:
+/// Two parts of the run's context refine the execution without changing
+/// the result for a full-budget run:
 ///
-/// - when a tile store is live ([`fair_tiles::cache`] — a store installed
-///   *and* an `(exp, seed)` group entered), full 64-trial tiles are looked
-///   up before computing and recorded after, so repeat estimations only
-///   pay for tiles they have never seen; merged results stay byte-identical
-///   to a fresh run because the cache stores the same integer tallies the
-///   fresh run would fold;
-/// - when a progressive context is armed ([`crate::progressive::scoped`]),
-///   tiles run in chunks and the call stops early once the 95% half-width
-///   reaches the armed epsilon, emitting a progress frame per chunk.
+/// - with a tile scope ([`RunCtx::tiles`]), full 64-trial tiles are
+///   looked up before computing and recorded after, so repeat estimations
+///   only pay for tiles they have never seen; merged results stay
+///   byte-identical to a fresh run because the cache stores the same
+///   integer tallies the fresh run would fold;
+/// - with progressive settings ([`RunCtx::progressive`]), tiles run in
+///   chunks and the call stops early once the 95% half-width reaches the
+///   target epsilon, emitting a progress frame per chunk.
 pub fn estimate<S: Scenario + Sync>(
+    ctx: &RunCtx,
     scenario: &S,
     payoff: &Payoff,
     trials: usize,
@@ -276,23 +273,24 @@ pub fn estimate<S: Scenario + Sync>(
     assert!(trials > 0, "need at least one trial");
     let name = scenario.name();
     let total_tiles = trials.div_ceil(fair_simlab::TILE);
-    if let Some(epsilon) = crate::progressive::epsilon() {
-        return estimate_adaptive(scenario, payoff, trials, seed, &name, epsilon);
+    if let Some(progressive) = &ctx.progressive {
+        return estimate_adaptive(ctx, progressive, scenario, payoff, trials, seed, &name);
     }
-    let tally = tally_tile_span(scenario, payoff, &name, seed, 0..total_tiles, trials);
+    let tally = tally_tile_span(ctx, scenario, payoff, &name, seed, 0..total_tiles, trials);
     tally.into_estimate(name, payoff)
 }
 
-/// The chunked, CI-bounded estimation path (armed via
-/// [`crate::progressive`]). The stop rule is a pure function of the
-/// integer tallies, so adaptive results are worker-count independent too.
+/// The chunked, CI-bounded estimation path. The stop rule is a pure
+/// function of the integer tallies, so adaptive results are worker-count
+/// independent too.
 fn estimate_adaptive<S: Scenario + Sync>(
+    ctx: &RunCtx,
+    progressive: &Progressive,
     scenario: &S,
     payoff: &Payoff,
     trials: usize,
     seed: u64,
     name: &str,
-    epsilon: f64,
 ) -> UtilityEstimate {
     let total_tiles = trials.div_ceil(fair_simlab::TILE);
     let mut tally = Tally::default();
@@ -300,6 +298,7 @@ fn estimate_adaptive<S: Scenario + Sync>(
     loop {
         let hi = (next + ADAPTIVE_CHUNK_TILES).min(total_tiles);
         tally = tally.merge(tally_tile_span(
+            ctx,
             scenario,
             payoff,
             name,
@@ -310,9 +309,9 @@ fn estimate_adaptive<S: Scenario + Sync>(
         next = hi;
         let est = tally.into_estimate(name.to_string(), payoff);
         let exhausted = next >= total_tiles;
-        let converged = est.trials >= ADAPTIVE_MIN_TRIALS && est.ci <= epsilon;
+        let converged = est.trials >= ADAPTIVE_MIN_TRIALS && est.ci <= progressive.epsilon();
         let done = exhausted || converged;
-        crate::progressive::emit(crate::progressive::Update {
+        progressive.emit(Update {
             scenario: name.to_string(),
             requested: trials,
             trials: est.trials,
@@ -321,7 +320,7 @@ fn estimate_adaptive<S: Scenario + Sync>(
             done,
         });
         if done {
-            crate::progressive::note(trials, est.trials, est.trials < trials);
+            progressive.note(trials, est.trials, est.trials < trials);
             return est;
         }
     }
@@ -333,6 +332,7 @@ fn estimate_adaptive<S: Scenario + Sync>(
 /// computed full tiles are recorded back. Partial tail tiles are never
 /// cached — their geometry depends on `total`.
 fn tally_tile_span<S: Scenario + Sync>(
+    ctx: &RunCtx,
     scenario: &S,
     payoff: &Payoff,
     name: &str,
@@ -345,13 +345,13 @@ fn tally_tile_span<S: Scenario + Sync>(
     let full = |i: usize| (i + 1) * TILE <= total;
     // Transcript capture must observe every trial, so it bypasses the
     // cache entirely (and records nothing, keeping stored tallies pure).
-    let cacheable = fair_tiles::cache::active() && !fair_trace::capture::active();
+    let cache = ctx.tiles.as_ref().filter(|_| ctx.capture.is_none());
     let mut slots: Vec<Option<Tally>> = tiles
         .clone()
         .map(|i| {
-            (cacheable && full(i))
-                .then(|| fair_tiles::cache::lookup(name, seed, i as u32))
-                .flatten()
+            cache
+                .filter(|_| full(i))
+                .and_then(|c| c.lookup(name, seed, i as u32))
                 .and_then(tally_from_cached)
         })
         .collect();
@@ -362,12 +362,12 @@ fn tally_tile_span<S: Scenario + Sync>(
         .map(|(i, _)| i)
         .collect();
     let computed = fair_simlab::run_indexed(missing.len(), |k| {
-        compute_tile(scenario, payoff, name, seed, tile_range(missing[k]))
+        compute_tile(ctx, scenario, payoff, name, seed, tile_range(missing[k]))
     });
     for (k, tally) in computed.into_iter().enumerate() {
         let i = missing[k];
-        if cacheable && full(i) {
-            fair_tiles::cache::record(name, seed, i as u32, tally_to_cached(&tally));
+        if let Some(cache) = cache.filter(|_| full(i)) {
+            cache.record(name, seed, i as u32, tally_to_cached(&tally));
         }
         slots[i - tiles.start] = Some(tally);
     }
@@ -379,6 +379,7 @@ fn tally_tile_span<S: Scenario + Sync>(
 
 /// Executes one tile of trials (the scheduler work unit).
 fn compute_tile<S: Scenario + Sync>(
+    ctx: &RunCtx,
     scenario: &S,
     payoff: &Payoff,
     name: &str,
@@ -386,23 +387,25 @@ fn compute_tile<S: Scenario + Sync>(
     range: core::ops::Range<usize>,
 ) -> Tally {
     let mut tally = Tally::default();
+    let observer = ctx.observer.as_ref();
     // Per-tile protocol-metric batch, submitted once per tile (same
     // one-mutex-touch-per-tile discipline as the latency batches).
-    let mut proto = fair_trace::metrics::enabled().then(ProtoBatch::default);
+    let mut proto = ProtoBatch::default();
     // Per-trial latency observation goes through simlab's timing
     // facade: fair-core itself never reads the wall clock (rule D1).
-    let mut timer = fair_simlab::BatchTimer::start(range.len());
+    let mut timer = fair_simlab::BatchTimer::start(observer, range.len());
     for t in range {
-        let (_, event, _, stats) = timer
-            .time(|| run_once_traced(scenario, payoff, fair_simlab::trial_seed(seed, t as u64)));
+        let trial_seed = fair_simlab::trial_seed(seed, t as u64);
+        let (_, event, _, stats) =
+            timer.time(|| run_once_traced(ctx, scenario, payoff, trial_seed));
         tally.record(event);
-        if let (Some(batch), Some(stats)) = (proto.as_mut(), stats) {
-            batch.record(&stats);
+        if let Some(stats) = stats {
+            proto.record(&stats);
         }
     }
     timer.finish();
-    if let Some(batch) = proto {
-        fair_trace::metrics::record_batch(name, batch);
+    if let Some(observer) = observer {
+        observer.record_protocol(name, proto);
     }
     tally
 }
@@ -437,6 +440,7 @@ fn tally_to_cached(tally: &Tally) -> fair_tiles::TileTally {
 ///
 /// Returns the per-scenario estimates and the index of the maximizer.
 pub fn best_of<S: Scenario + Sync>(
+    ctx: &RunCtx,
     scenarios: &[S],
     payoff: &Payoff,
     trials: usize,
@@ -446,7 +450,7 @@ pub fn best_of<S: Scenario + Sync>(
     let estimates: Vec<UtilityEstimate> = scenarios
         .iter()
         .enumerate()
-        .map(|(i, s)| estimate(s, payoff, trials, seed.wrapping_add((i as u64) << 32)))
+        .map(|(i, s)| estimate(ctx, s, payoff, trials, seed.wrapping_add((i as u64) << 32)))
         .collect();
     let best = estimates
         .iter()
@@ -502,9 +506,13 @@ mod tests {
         }
     }
 
+    fn plain() -> RunCtx {
+        RunCtx::default()
+    }
+
     #[test]
     fn passive_scenario_is_always_e01() {
-        let est = estimate(&EchoScenario, &Payoff::standard(), 50, 1);
+        let est = estimate(&plain(), &EchoScenario, &Payoff::standard(), 50, 1);
         assert_eq!(est.mean, 0.0);
         assert_eq!(est.ci, 0.0);
         assert_eq!(est.event_rate(Event::E01), 1.0);
@@ -518,7 +526,13 @@ mod tests {
         // Two copies of the same scenario — the tie is broken by max_by
         // (later element wins ties per max_by semantics); just check a
         // valid index and equal means.
-        let (ests, best) = best_of(&[EchoScenario, EchoScenario], &Payoff::standard(), 10, 2);
+        let (ests, best) = best_of(
+            &plain(),
+            &[EchoScenario, EchoScenario],
+            &Payoff::standard(),
+            10,
+            2,
+        );
         assert_eq!(ests.len(), 2);
         assert!(best < 2);
         assert_eq!(ests[0].mean, ests[1].mean);
@@ -526,29 +540,28 @@ mod tests {
 
     #[test]
     fn display_contains_counts() {
-        let est = estimate(&EchoScenario, &Payoff::standard(), 4, 3);
+        let est = estimate(&plain(), &EchoScenario, &Payoff::standard(), 4, 3);
         let s = est.to_string();
         assert!(s.contains("echo"));
         assert!(s.contains("0/4/0/0"));
     }
 
-    /// Serializes the tests that install the process-global tile store.
-    static CACHE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn tile_cache_hits_reproduce_fresh_results() {
-        let _slot = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let fresh_640 = estimate(&EchoScenario, &Payoff::standard(), 640, 11);
-        let fresh_2000 = estimate(&EchoScenario, &Payoff::standard(), 2000, 11);
-        fair_tiles::cache::install(std::sync::Arc::new(fair_tiles::Store::in_memory()));
-        let (warm_640, warm_2000) = fair_tiles::cache::with_group("unit", 11, || {
-            (
-                estimate(&EchoScenario, &Payoff::standard(), 640, 11),
-                estimate(&EchoScenario, &Payoff::standard(), 2000, 11),
-            )
-        });
-        let stats = fair_tiles::cache::snapshot().expect("store installed");
-        fair_tiles::cache::uninstall();
+        let fresh_640 = estimate(&plain(), &EchoScenario, &Payoff::standard(), 640, 11);
+        let fresh_2000 = estimate(&plain(), &EchoScenario, &Payoff::standard(), 2000, 11);
+        let store = std::sync::Arc::new(fair_tiles::Store::in_memory());
+        let cached = RunCtx {
+            tiles: Some(fair_tiles::Scope::new(
+                std::sync::Arc::clone(&store),
+                "unit",
+                11,
+            )),
+            ..RunCtx::default()
+        };
+        let warm_640 = estimate(&cached, &EchoScenario, &Payoff::standard(), 640, 11);
+        let warm_2000 = estimate(&cached, &EchoScenario, &Payoff::standard(), 2000, 11);
+        let stats = store.stats();
         // 640 trials = tiles 0..10 (all full, all cold): 10 misses.
         // 2000 trials = tiles 0..32 (tile 31 partial): 10 prefix hits,
         // 21 full misses, the partial tile never consulted.
@@ -562,13 +575,42 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_inert_without_a_group() {
-        let _slot = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        fair_tiles::cache::install(std::sync::Arc::new(fair_tiles::Store::in_memory()));
-        let _ = estimate(&EchoScenario, &Payoff::standard(), 128, 5);
-        let stats = fair_tiles::cache::snapshot().expect("store installed");
-        fair_tiles::cache::uninstall();
+    fn capture_bypasses_the_tile_cache() {
+        let store = std::sync::Arc::new(fair_tiles::Store::in_memory());
+        let ctx = RunCtx {
+            tiles: Some(fair_tiles::Scope::new(
+                std::sync::Arc::clone(&store),
+                "unit",
+                5,
+            )),
+            capture: Some(fair_trace::Capture::new(
+                fair_trace::CaptureFilter::FirstN(3),
+                0,
+            )),
+            ..RunCtx::default()
+        };
+        let _ = estimate(&ctx, &EchoScenario, &Payoff::standard(), 128, 5);
+        let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.inserts), (0, 0, 0));
+        let captured = ctx.capture.expect("capture").finish();
+        assert_eq!(captured.len(), 3);
+    }
+
+    #[test]
+    fn observer_sees_every_trial_and_protocol() {
+        let ctx = RunCtx {
+            observer: Some(fair_simlab::Observer::new(None)),
+            ..RunCtx::default()
+        };
+        let _ = estimate(&ctx, &EchoScenario, &Payoff::standard(), 100, 5);
+        let (latency, protocols) = ctx.observer.expect("observer").finish();
+        assert_eq!(latency.expect("timed").count, 100);
+        let protocols = protocols.drain();
+        assert_eq!(protocols.len(), 1);
+        assert_eq!(
+            (protocols[0].name.as_str(), protocols[0].trials),
+            ("echo", 100)
+        );
     }
 
     #[test]
@@ -576,9 +618,12 @@ mod tests {
         // Zero-variance scenario: the half-width is 0 after the first
         // chunk, so a 1000-trial request stops at 256 trials.
         let (tx, rx) = std::sync::mpsc::channel();
-        let (est, summary) = crate::progressive::scoped(0.05, Some(tx), || {
-            estimate(&EchoScenario, &Payoff::standard(), 1000, 13)
-        });
+        let ctx = RunCtx {
+            progressive: Some(Progressive::new(0.05, Some(tx))),
+            ..RunCtx::default()
+        };
+        let est = estimate(&ctx, &EchoScenario, &Payoff::standard(), 1000, 13);
+        let summary = ctx.progressive.expect("progressive").summary();
         assert_eq!(est.trials, ADAPTIVE_CHUNK_TILES * fair_simlab::TILE);
         assert_eq!(est.event_rate(Event::E01), 1.0);
         assert_eq!(summary.estimates, 1);
@@ -596,10 +641,13 @@ mod tests {
     fn adaptive_exhaustion_matches_fixed_budget_bit_for_bit() {
         // An unreachable epsilon forces the adaptive path to spend the
         // whole budget; the result must equal the plain path exactly.
-        let fixed = estimate(&EchoScenario, &Payoff::standard(), 500, 17);
-        let (adaptive, summary) = crate::progressive::scoped(-1.0, None, || {
-            estimate(&EchoScenario, &Payoff::standard(), 500, 17)
-        });
+        let fixed = estimate(&plain(), &EchoScenario, &Payoff::standard(), 500, 17);
+        let ctx = RunCtx {
+            progressive: Some(Progressive::new(-1.0, None)),
+            ..RunCtx::default()
+        };
+        let adaptive = estimate(&ctx, &EchoScenario, &Payoff::standard(), 500, 17);
+        let summary = ctx.progressive.expect("progressive").summary();
         assert_eq!(adaptive.event_counts, fixed.event_counts);
         assert_eq!(adaptive.mean.to_bits(), fixed.mean.to_bits());
         assert_eq!(adaptive.ci.to_bits(), fixed.ci.to_bits());

@@ -1,6 +1,6 @@
 //! Statistical invariants of the utility estimator.
 
-use fair_core::{estimate, Event, Payoff, Scenario, Trial};
+use fair_core::{estimate, Event, Payoff, RunCtx, Scenario, Trial};
 use fair_runtime::{Envelope, Instance, OutMsg, Party, Passive, RoundCtx, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -67,7 +67,7 @@ proptest! {
     #[test]
     fn mean_is_bounded_by_payoff_range(p in 0.0f64..=1.0, seed: u64) {
         let payoff = Payoff::standard();
-        let est = estimate(&CoinScenario { p_deliver: p }, &payoff, 200, seed);
+        let est = estimate(&RunCtx::default(), &CoinScenario { p_deliver: p }, &payoff, 200, seed);
         let lo = payoff.g00.min(payoff.g01).min(payoff.g10).min(payoff.g11);
         let hi = payoff.g00.max(payoff.g01).max(payoff.g10).max(payoff.g11);
         prop_assert!(est.mean >= lo && est.mean <= hi);
@@ -76,15 +76,15 @@ proptest! {
 
     #[test]
     fn event_counts_sum_to_trials(p in 0.0f64..=1.0, seed: u64, trials in 1usize..300) {
-        let est = estimate(&CoinScenario { p_deliver: p }, &Payoff::standard(), trials, seed);
+        let est = estimate(&RunCtx::default(), &CoinScenario { p_deliver: p }, &Payoff::standard(), trials, seed);
         prop_assert_eq!(est.event_counts.iter().sum::<usize>(), trials);
     }
 
     #[test]
     fn estimates_are_reproducible(seed: u64) {
         let payoff = Payoff::standard();
-        let a = estimate(&CoinScenario { p_deliver: 0.5 }, &payoff, 100, seed);
-        let b = estimate(&CoinScenario { p_deliver: 0.5 }, &payoff, 100, seed);
+        let a = estimate(&RunCtx::default(), &CoinScenario { p_deliver: 0.5 }, &payoff, 100, seed);
+        let b = estimate(&RunCtx::default(), &CoinScenario { p_deliver: 0.5 }, &payoff, 100, seed);
         prop_assert_eq!(a.mean, b.mean);
         prop_assert_eq!(a.event_counts, b.event_counts);
     }
@@ -95,7 +95,13 @@ fn estimator_tracks_the_true_mixture() {
     // Pr[E01] = 0.7 and Pr[E00] = 0.3 under γ = standard: expected payoff
     // 0.7·γ01 + 0.3·γ00 = 0.075.
     let payoff = Payoff::standard();
-    let est = estimate(&CoinScenario { p_deliver: 0.7 }, &payoff, 20_000, 9);
+    let est = estimate(
+        &RunCtx::default(),
+        &CoinScenario { p_deliver: 0.7 },
+        &payoff,
+        20_000,
+        9,
+    );
     assert!(
         (est.mean - 0.3 * payoff.g00).abs() < 0.01,
         "mean = {}",

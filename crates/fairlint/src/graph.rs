@@ -781,16 +781,6 @@ pub fn render_dot(g: &Graph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::SourceFile;
-    use std::path::Path;
-
-    fn file(rel: &str, src: &str) -> SourceFile {
-        SourceFile::from_contents(
-            Path::new("/ws"),
-            Path::new(&format!("/ws/{rel}")),
-            src.into(),
-        )
-    }
 
     #[test]
     fn call_kinds_are_classified() {

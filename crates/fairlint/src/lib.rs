@@ -8,9 +8,9 @@
 //! iteration-order dependence inside the protocol/estimator layers),
 //! **secret hygiene** (shares, MAC keys/tags, commitment openings and
 //! signing keys must not leak through derived `Debug` or short-circuit
-//! `==`), and **experiment-registry conformance** (every `exp_*` bin,
-//! the shared runner's `ALL_EXPERIMENTS` registry, and the
-//! EXPERIMENTS.md summary table stay in lockstep).
+//! `==`), and **experiment-registry conformance** (the shared runner's
+//! `ALL_EXPERIMENTS` registry, the scenario files, and the EXPERIMENTS.md
+//! summary tables stay in lockstep).
 //!
 //! fairlint enforces those as rules `D1`–`D2`, `S1`–`S2`, `R1`–`R5`,
 //! plus `L1` policing its own suppression comments. It is a token-level

@@ -49,9 +49,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "R1",
-        summary: "experiment bins, the shared-runner registry, and EXPERIMENTS.md must agree",
-        rationale: "An experiment that exists in only two of the three places is either unrunnable, unreproducible, or undocumented.",
-        fix: "Add/remove the exp_* bin, the ALL_EXPERIMENTS entry, and the EXPERIMENTS.md row together.",
+        summary: "the shared-runner registry, scenario files, and EXPERIMENTS.md must agree",
+        rationale: "An experiment that is registered but undocumented, or documented but unrunnable, breaks the claim-to-command mapping.",
+        fix: "Add/remove the ALL_EXPERIMENTS entry (or scenarios/*.toml file) and the EXPERIMENTS.md row together.",
     },
     RuleInfo {
         id: "R2",
@@ -412,8 +412,8 @@ fn check_s2(ws: &Workspace, f: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// R1 — experiment-registry conformance: `exp_*` bins, the
-/// `ALL_EXPERIMENTS` registry, and EXPERIMENTS.md rows agree.
+/// R1 — experiment-registry conformance: the `ALL_EXPERIMENTS` registry,
+/// the scenario files, and EXPERIMENTS.md rows agree.
 fn check_r1(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     let Some(lib) = ws.file_by_rel("crates/bench/src/lib.rs") else {
         return;
@@ -427,17 +427,6 @@ fn check_r1(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         ));
         return;
     };
-    let bins: Vec<(String, &SourceFile)> = ws
-        .files
-        .iter()
-        .filter_map(|f| {
-            let id = f
-                .rel
-                .strip_prefix("crates/bench/src/bin/exp_")?
-                .strip_suffix(".rs")?;
-            Some((id.to_string(), f))
-        })
-        .collect();
     let md_ids: Vec<String> = ws
         .experiments_md
         .as_deref()
@@ -445,14 +434,6 @@ fn check_r1(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         .unwrap_or_default();
 
     for id in &registered {
-        if !bins.iter().any(|(b, _)| b == id) {
-            out.push(err(
-                "R1",
-                lib,
-                reg_line,
-                format!("experiment `{id}` is registered in ALL_EXPERIMENTS but has no crates/bench/src/bin/exp_{id}.rs"),
-            ));
-        }
         if ws.experiments_md.is_some() && !md_ids.contains(id) {
             out.push(err(
                 "R1",
@@ -461,16 +442,6 @@ fn check_r1(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                 format!(
                     "experiment `{id}` is registered but missing from the EXPERIMENTS.md summary table"
                 ),
-            ));
-        }
-    }
-    for (id, f) in &bins {
-        if !registered.contains(id) {
-            out.push(err(
-                "R1",
-                f,
-                1,
-                format!("bin exp_{id}.rs exists but `{id}` is not registered in ALL_EXPERIMENTS"),
             ));
         }
     }

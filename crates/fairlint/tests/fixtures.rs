@@ -116,7 +116,7 @@ fn ws_bad_unscoped_member_names_the_crate() {
 }
 
 #[test]
-fn ws_bad_registry_violations_cover_all_three_directions() {
+fn ws_bad_registry_violations_cover_both_directions() {
     let diags = analyze("ws_bad");
     let r1: Vec<&str> = diags
         .iter()
@@ -125,15 +125,9 @@ fn ws_bad_registry_violations_cover_all_three_directions() {
         .collect();
     assert!(
         r1.iter()
-            .any(|m| m.contains("`e2`") && m.contains("no crates/bench/src/bin/exp_e2.rs")),
+            .any(|m| m.contains("`e2`") && m.contains("EXPERIMENTS.md")),
         "{r1:?}"
     );
-    assert!(r1
-        .iter()
-        .any(|m| m.contains("`e2`") && m.contains("EXPERIMENTS.md")));
-    assert!(r1
-        .iter()
-        .any(|m| m.contains("exp_e3.rs") && m.contains("not registered")));
     assert!(r1
         .iter()
         .any(|m| m.contains("`e9`") && m.contains("not registered")));

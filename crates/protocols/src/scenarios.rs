@@ -708,14 +708,20 @@ pub fn ideal_fair_sweep(n: usize, t: usize) -> Vec<IdealFairScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fair_core::{analytic, best_of, Payoff};
+    use fair_core::{analytic, best_of, Payoff, RunCtx};
 
     const TRIALS: usize = 300;
 
     #[test]
     fn pi1_best_attack_reaches_gamma10() {
         let payoff = Payoff::standard();
-        let (ests, best) = best_of(&contract_sweep(false), &payoff, TRIALS, 11);
+        let (ests, best) = best_of(
+            &RunCtx::default(),
+            &contract_sweep(false),
+            &payoff,
+            TRIALS,
+            11,
+        );
         assert!(
             ests[best].consistent_with(analytic::pi1(&payoff), 0.02),
             "Π1 sup-utility = {} (expected {})",
@@ -727,7 +733,13 @@ mod tests {
     #[test]
     fn pi2_best_attack_is_half_way() {
         let payoff = Payoff::standard();
-        let (ests, best) = best_of(&contract_sweep(true), &payoff, TRIALS, 12);
+        let (ests, best) = best_of(
+            &RunCtx::default(),
+            &contract_sweep(true),
+            &payoff,
+            TRIALS,
+            12,
+        );
         assert!(
             ests[best].consistent_with(analytic::pi2(&payoff), 0.08),
             "Π2 sup-utility = {} ± {} (expected {})",
@@ -740,7 +752,7 @@ mod tests {
     #[test]
     fn opt2_best_attack_matches_theorem_3() {
         let payoff = Payoff::standard();
-        let (ests, best) = best_of(&opt2_sweep(), &payoff, TRIALS, 13);
+        let (ests, best) = best_of(&RunCtx::default(), &opt2_sweep(), &payoff, TRIALS, 13);
         assert!(
             ests[best].consistent_with(analytic::opt2(&payoff), 0.08),
             "Opt2 sup-utility = {} (expected {})",
@@ -752,7 +764,7 @@ mod tests {
     #[test]
     fn one_round_strawman_loses_completely() {
         let payoff = Payoff::standard();
-        let (ests, best) = best_of(&one_round_sweep(), &payoff, TRIALS, 14);
+        let (ests, best) = best_of(&RunCtx::default(), &one_round_sweep(), &payoff, TRIALS, 14);
         assert!(
             ests[best].consistent_with(payoff.g10, 0.02),
             "strawman sup-utility = {}",
@@ -765,7 +777,13 @@ mod tests {
         let payoff = Payoff::standard();
         let n = 3;
         for t in 1..n {
-            let (ests, best) = best_of(&optn_sweep(n, t), &payoff, TRIALS, 15 + t as u64);
+            let (ests, best) = best_of(
+                &RunCtx::default(),
+                &optn_sweep(n, t),
+                &payoff,
+                TRIALS,
+                15 + t as u64,
+            );
             let expect = analytic::optn_t(&payoff, n, t);
             assert!(
                 ests[best].consistent_with(expect, 0.09),
@@ -778,7 +796,13 @@ mod tests {
     #[test]
     fn ideal_benchmark_is_gamma11() {
         let payoff = Payoff::standard();
-        let (ests, best) = best_of(&ideal_fair_sweep(3, 2), &payoff, TRIALS, 19);
+        let (ests, best) = best_of(
+            &RunCtx::default(),
+            &ideal_fair_sweep(3, 2),
+            &payoff,
+            TRIALS,
+            19,
+        );
         assert!(
             ests[best].consistent_with(analytic::ideal_fair_t(&payoff, 3, 2), 0.03),
             "ideal benchmark = {}",

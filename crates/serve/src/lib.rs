@@ -62,5 +62,5 @@ pub use cache::{Lookup, ShardedCache};
 pub use client::{Conn, HttpReply};
 pub use http::{Body, Request, Response};
 pub use server::{AcceptSharding, Server, ServerConfig};
-pub use service::{Backend, ProgressUpdate, Service, ServiceConfig};
+pub use service::{Backend, ProgressUpdate, Service, ServiceConfig, PROTOCOLS};
 pub use stats::ServerStats;

@@ -14,10 +14,18 @@ use std::sync::{Arc, Mutex};
 
 use fair_simlab::json::Json;
 use fair_simlab::proto_json;
+use fair_trace::ProtoStore;
 
 use crate::cache::{Lookup, ShardedCache};
 use crate::http::{Request, Response};
 use crate::stats::ServerStats;
+
+/// The per-protocol metrics behind `/metrics`: one store for the life of
+/// the process, never cleared. Backends record every estimation they run
+/// into it. Process-wide because the servers of one process report one
+/// `/metrics` document, and a backend is a shared value with no
+/// per-request state to carry a store in.
+pub static PROTOCOLS: ProtoStore = ProtoStore::new();
 
 /// What the service needs from the experiment registry. Implemented by
 /// `fair-bench` (which owns the static E1–E17 registry plus the
@@ -366,7 +374,7 @@ impl Service {
     /// live per-protocol trace counters. Also what the server flushes to
     /// disk as its final snapshot on graceful shutdown.
     pub fn metrics_document(&self) -> Json {
-        let protocols = fair_trace::metrics::snapshot();
+        let protocols = PROTOCOLS.snapshot();
         Json::obj()
             .field("cache_entries", Json::num(self.cache.len() as f64))
             .field("loops", Json::num(self.registered_loops().max(1) as f64))

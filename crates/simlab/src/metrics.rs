@@ -1,49 +1,101 @@
-//! Run observability: global trial counters (for trials/sec + ETA progress
-//! lines) and per-trial latency collection (min/p50/p99/max summaries).
+//! Run observability: the [`Observer`] one run carries — its trial
+//! counter (behind the live progress line), per-trial latency samples
+//! (min/p50/p99/max summaries), and per-protocol metric batches.
 //!
-//! Collection is off by default so unit tests and library consumers pay
-//! nothing; the `reproduce` runner enables it around each experiment and
-//! drains a [`LatencySummary`] afterwards. Counters are atomics; latency
-//! samples are batched per tile so the mutex is touched once per ~64
-//! trials, never per trial.
+//! A run observes only if it owns an observer, so unit tests and library
+//! consumers pay nothing. The `reproduce` runner gives each experiment a
+//! fresh one and summarizes it afterwards. The counter is an atomic;
+//! latency samples and protocol batches arrive once per tile, so their
+//! mutexes are touched once per ~64 trials, never per trial.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static TRIALS_DONE: AtomicU64 = AtomicU64::new(0);
-static SAMPLES: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+use fair_trace::{ProtoBatch, ProtoStore};
 
-/// Whether trial metrics are being collected.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// Everything one run observes. Shared by reference between the
+/// scheduler's workers.
+#[derive(Debug)]
+pub struct Observer {
+    /// Label of the stderr progress line (`None` = no progress line).
+    label: Option<String>,
+    trials: AtomicU64,
+    samples: Mutex<Vec<u64>>,
+    protocols: ProtoStore,
 }
 
-/// Turns collection on/off and clears all state (called by the runner at
-/// experiment boundaries).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-    TRIALS_DONE.store(0, Ordering::Relaxed);
-    SAMPLES.lock().unwrap_or_else(|e| e.into_inner()).clear();
-}
-
-/// Records a finished batch of trials with their per-trial latencies.
-/// No-op unless collection is enabled.
-pub fn record_batch(latencies_ns: &[u64]) {
-    if !enabled() || latencies_ns.is_empty() {
-        return;
+impl Observer {
+    /// An observer. With a `label`, [`Observer::reporting`] prints
+    /// `[simlab] <label>: N trials, R trials/s` progress lines.
+    pub fn new(label: Option<&str>) -> Observer {
+        Observer {
+            label: label.map(str::to_string),
+            trials: AtomicU64::new(0),
+            samples: Mutex::default(),
+            protocols: ProtoStore::new(),
+        }
     }
-    TRIALS_DONE.fetch_add(latencies_ns.len() as u64, Ordering::Relaxed);
-    SAMPLES
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .extend_from_slice(latencies_ns);
-}
 
-/// Trials completed since collection was (re)enabled.
-pub fn trials_done() -> u64 {
-    TRIALS_DONE.load(Ordering::Relaxed)
+    /// Counts `n` finished trials.
+    pub fn count(&self, n: u64) {
+        self.trials.fetch_add(n, Relaxed);
+    }
+
+    /// Runs `f` while a ticker thread prints the progress line every 2 s
+    /// (just `f` without a label). The ticker is joined when its current
+    /// sleep ends, so the call returns on a 2 s boundary (see ROADMAP).
+    pub fn reporting<T>(&self, f: impl FnOnce() -> T) -> T {
+        let Some(label) = &self.label else {
+            return f();
+        };
+        // `running` drops when `f` returns or unwinds, ending the ticker.
+        let (running, stopped) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let t0 = Instant::now();
+                loop {
+                    std::thread::sleep(Duration::from_secs(2));
+                    if stopped.try_recv() != Err(TryRecvError::Empty) {
+                        break;
+                    }
+                    let done = self.trials.load(Relaxed);
+                    let rate = done as f64 / t0.elapsed().as_secs_f64();
+                    if done > 0 {
+                        eprintln!("[simlab] {label}: {done} trials, {rate:.0} trials/s");
+                    }
+                }
+            });
+            let _running = running;
+            f()
+        })
+    }
+
+    /// Records a finished batch of trials with their per-trial latencies.
+    pub fn record_latencies(&self, latencies_ns: &[u64]) {
+        if latencies_ns.is_empty() {
+            return;
+        }
+        self.samples
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .extend_from_slice(latencies_ns);
+        self.count(latencies_ns.len() as u64);
+    }
+
+    /// Merges one tile's per-protocol batch under a scenario name.
+    pub fn record_protocol(&self, name: &str, batch: ProtoBatch) {
+        self.protocols.record(name, batch);
+    }
+
+    /// Ends the observation: the latency summary (`None` when no trial
+    /// was timed) and the per-protocol batches.
+    pub fn finish(self) -> (Option<LatencySummary>, ProtoStore) {
+        let samples = self.samples.into_inner().unwrap_or_else(|e| e.into_inner());
+        (LatencySummary::from_samples(samples), self.protocols)
+    }
 }
 
 /// Distribution summary of per-trial execution latency.
@@ -117,108 +169,53 @@ pub fn fmt_ns(ns: u64) -> String {
 /// (fairlint rule D1 keeps `Instant` out of the determinism-boundary
 /// crates), and estimators just wrap each trial in [`BatchTimer::time`].
 ///
-/// When collection is disabled (the default) the timer is a no-op: no
-/// clock is read and nothing is allocated beyond an empty `Option`.
+/// Without an observer the timer is a no-op: no clock is read and nothing
+/// is allocated.
 ///
 /// # Examples
 ///
 /// ```
-/// use fair_simlab::metrics::BatchTimer;
+/// use fair_simlab::metrics::{BatchTimer, Observer};
 ///
-/// let mut timer = BatchTimer::start(8);
+/// let observer = Observer::new(None);
+/// let mut timer = BatchTimer::start(Some(&observer), 8);
 /// let answer = timer.time(|| 2 + 2);
 /// assert_eq!(answer, 4);
-/// timer.finish(); // records the batch if collection is enabled
+/// timer.finish(); // records the batch into the observer
+/// assert_eq!(observer.finish().0.map(|l| l.count), Some(1));
 /// ```
 #[derive(Debug)]
-pub struct BatchTimer {
-    samples: Option<Vec<u64>>,
+pub struct BatchTimer<'a> {
+    observer: Option<&'a Observer>,
+    samples: Vec<u64>,
 }
 
-impl BatchTimer {
-    /// Creates a timer for a batch of up to `capacity` timed calls.
-    /// Samples are only collected while metrics are [`enabled`].
-    pub fn start(capacity: usize) -> BatchTimer {
+impl<'a> BatchTimer<'a> {
+    /// Creates a timer for a batch of up to `capacity` timed calls,
+    /// reporting to `observer` (a no-op timer when `None`).
+    pub fn start(observer: Option<&'a Observer>, capacity: usize) -> BatchTimer<'a> {
         BatchTimer {
-            samples: enabled().then(|| Vec::with_capacity(capacity)),
+            observer,
+            samples: Vec::with_capacity(if observer.is_some() { capacity } else { 0 }),
         }
     }
 
-    /// Runs `f`, recording its wall-clock latency when collection is
-    /// enabled; transparent otherwise.
+    /// Runs `f`, recording its wall-clock latency when observed;
+    /// transparent otherwise.
     pub fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        match self.samples.as_mut() {
-            Some(samples) => {
-                let t0 = Instant::now();
-                let out = f();
-                samples.push(t0.elapsed().as_nanos() as u64);
-                out
-            }
-            None => f(),
+        if self.observer.is_none() {
+            return f();
         }
+        let t0 = Instant::now();
+        let out = f();
+        self.samples.push(t0.elapsed().as_nanos() as u64);
+        out
     }
 
-    /// Submits the batch to the global latency collector.
+    /// Submits the batch to the observer.
     pub fn finish(self) {
-        if let Some(samples) = self.samples {
-            record_batch(&samples);
-        }
-    }
-}
-
-/// Drains and summarizes the collected per-trial latencies.
-pub fn drain_latency() -> Option<LatencySummary> {
-    let samples = std::mem::take(&mut *SAMPLES.lock().unwrap_or_else(|e| e.into_inner()));
-    LatencySummary::from_samples(samples)
-}
-
-/// A live stderr progress line: `trials done, trials/sec, ETA` against an
-/// expected trial count, refreshed from a background ticker thread.
-pub struct Progress {
-    stop: std::sync::Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Progress {
-    /// Spawns a ticker that reports progress for `label` every `period`
-    /// until dropped. `expected_trials` drives the ETA (0 = unknown).
-    pub fn start(label: &str, expected_trials: u64, period: Duration) -> Progress {
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let stop2 = std::sync::Arc::clone(&stop);
-        let label = label.to_string();
-        let handle = std::thread::spawn(move || {
-            let t0 = Instant::now();
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(period);
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
-                let done = trials_done();
-                let secs = t0.elapsed().as_secs_f64();
-                if done == 0 || secs <= 0.0 {
-                    continue;
-                }
-                let rate = done as f64 / secs;
-                let eta = if expected_trials > done && rate > 0.0 {
-                    format!(", ETA {:.1}s", (expected_trials - done) as f64 / rate)
-                } else {
-                    String::new()
-                };
-                eprintln!("[simlab] {label}: {done} trials, {:.0} trials/s{eta}", rate);
-            }
-        });
-        Progress {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Progress {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        if let Some(observer) = self.observer {
+            observer.record_latencies(&self.samples);
         }
     }
 }
@@ -283,10 +280,36 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collection_is_a_no_op() {
-        set_enabled(false);
-        record_batch(&[1, 2, 3]);
-        assert_eq!(trials_done(), 0);
-        assert!(drain_latency().is_none());
+    fn unobserved_timer_is_a_no_op() {
+        let mut timer = BatchTimer::start(None, 8);
+        assert_eq!(timer.time(|| 7), 7);
+        assert!(timer.samples.is_empty());
+        timer.finish();
+    }
+
+    #[test]
+    fn observer_counts_trials_and_summarizes_latencies() {
+        let observer = Observer::new(Some("unit"));
+        observer.record_latencies(&[30, 10, 20]);
+        observer.record_latencies(&[]);
+        observer.count(5);
+        assert_eq!(observer.trials.load(Relaxed), 8);
+        let mut batch = ProtoBatch::default();
+        batch.record(&fair_trace::ExecStats::default());
+        observer.record_protocol("pi", batch);
+        let (latency, protocols) = observer.finish();
+        let lat = latency.expect("samples recorded");
+        assert_eq!((lat.count, lat.min_ns, lat.max_ns), (3, 10, 30));
+        assert_eq!(protocols.drain()[0].trials, 1);
+        assert!(Observer::new(None).finish().0.is_none());
+    }
+
+    #[test]
+    fn reporting_returns_the_result_and_stops_the_ticker() {
+        assert_eq!(Observer::new(None).reporting(|| 7), 7);
+        // A panicking run still stops and joins the ticker.
+        let labelled = Observer::new(Some("unit"));
+        let unwound = std::panic::catch_unwind(|| labelled.reporting(|| panic!("run failed")));
+        assert!(unwound.is_err());
     }
 }

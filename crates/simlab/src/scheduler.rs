@@ -160,10 +160,15 @@ mod tests {
 
     #[test]
     fn with_jobs_restores_previous_value() {
-        set_jobs(0);
+        // Read the ambient value under the scope lock, so no concurrent
+        // `with_jobs` scope of another test is in the middle of its run.
+        let ambient = || {
+            let _guard = JOBS_SCOPE.lock().unwrap_or_else(|e| e.into_inner());
+            JOBS.load(Ordering::Relaxed)
+        };
+        let before = ambient();
         with_jobs(3, || assert_eq!(effective_jobs(), 3));
-        // Back to the unset default (1 effective, absent FAIR_JOBS).
-        assert_eq!(JOBS.load(Ordering::Relaxed), 0);
+        assert_eq!(ambient(), before);
     }
 
     #[test]

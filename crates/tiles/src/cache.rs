@@ -1,29 +1,21 @@
-//! Process-global store installation and the thread-local group context.
+//! The process-global store installation and the per-run tile [`Scope`].
 //!
-//! The estimator (`fair_core::utility::estimate`) is many layers below the
-//! code that knows which experiment is running, so the group key travels
-//! out of band: callers that own the `(exp, base seed)` pair (the serve
-//! backend, the batch runner) wrap the run in [`with_group`], and the
-//! estimator asks [`lookup`]/[`record`] which consult the installed store
-//! under the ambient group. With no store installed or no group entered,
-//! both are inert — the cache is strictly opt-in and every existing call
-//! path behaves exactly as before.
+//! The estimator (`fair_core::utility::estimate`) keys its lookups under
+//! the `(exp, base seed)` group of the run it belongs to. That pair is
+//! known only to whoever starts the run (the batch runner, the serve
+//! backend), so they build a [`Scope`] — a store handle plus the group —
+//! and pass it down inside the run's context. A run without a scope never
+//! touches a store; the cache is strictly opt-in.
 //!
-//! Lookups and inserts happen on the *calling* thread (the estimator
-//! resolves cached tiles before fanning the missing ones out to scheduler
-//! workers), so the thread-local group never needs to cross threads.
+//! The one process-wide piece is the installed store: a server hands its
+//! backend no per-request state, so [`install`]/[`installed`] are how a
+//! run finds the store it should scope into.
 
-use std::cell::RefCell;
 use std::sync::{Arc, RwLock};
 
 use crate::store::{GroupKey, StatsSnapshot, Store, TileKey, TileTally};
 
 static STORE: RwLock<Option<Arc<Store>>> = RwLock::new(None);
-
-thread_local! {
-    /// Stack of entered groups (innermost last) — `with_group` nests.
-    static GROUP: RefCell<Vec<GroupKey>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Installs `store` as the process-global tile store, replacing (and
 /// returning) any previous one.
@@ -43,69 +35,6 @@ pub fn installed() -> Option<Arc<Store>> {
     STORE.read().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
-/// Runs `f` with the thread's ambient group set to `(exp, base_seed)`.
-/// Restores the previous group on exit (including unwinds).
-pub fn with_group<T>(exp: &str, base_seed: u64, f: impl FnOnce() -> T) -> T {
-    struct Pop;
-    impl Drop for Pop {
-        fn drop(&mut self) {
-            GROUP.with(|g| {
-                g.borrow_mut().pop();
-            });
-        }
-    }
-    GROUP.with(|g| {
-        g.borrow_mut().push(GroupKey {
-            exp: exp.to_string(),
-            base_seed,
-        })
-    });
-    let _pop = Pop;
-    f()
-}
-
-fn current_group() -> Option<GroupKey> {
-    GROUP.with(|g| g.borrow().last().cloned())
-}
-
-/// Whether tile caching is live on this thread: a store is installed and a
-/// group has been entered.
-pub fn active() -> bool {
-    current_group().is_some() && installed().is_some()
-}
-
-/// Looks up a tile under the ambient group. `None` when inactive or when
-/// the tile is absent; hit/miss counters tick only on real lookups.
-pub fn lookup(stream: &str, stream_seed: u64, index: u32) -> Option<TileTally> {
-    let group = current_group()?;
-    let store = installed()?;
-    store.get(
-        &group,
-        &TileKey {
-            stream: stream.to_string(),
-            stream_seed,
-            index,
-        },
-    )
-}
-
-/// Records a freshly computed tile under the ambient group (no-op when
-/// inactive).
-pub fn record(stream: &str, stream_seed: u64, index: u32, tally: TileTally) {
-    let (Some(group), Some(store)) = (current_group(), installed()) else {
-        return;
-    };
-    store.put(
-        group,
-        TileKey {
-            stream: stream.to_string(),
-            stream_seed,
-            index,
-        },
-        tally,
-    );
-}
-
 /// Flushes the installed store's dirty groups to disk. Returns the number
 /// of files written (0 when no store, in-memory store, or nothing dirty);
 /// I/O errors are swallowed — a cache that fails to persist is still a
@@ -119,61 +48,93 @@ pub fn snapshot() -> Option<StatsSnapshot> {
     installed().map(|s| s.stats())
 }
 
+/// A store entered under one `(exp, base seed)` group: what one run looks
+/// its tiles up in and records them to.
+#[derive(Clone)]
+pub struct Scope {
+    store: Arc<Store>,
+    group: GroupKey,
+}
+
+impl Scope {
+    /// `store` scoped to the group `(exp, base_seed)`.
+    pub fn new(store: Arc<Store>, exp: &str, base_seed: u64) -> Scope {
+        Scope {
+            store,
+            group: GroupKey {
+                exp: exp.to_string(),
+                base_seed,
+            },
+        }
+    }
+
+    /// The [`installed`] store scoped to `(exp, base_seed)`; `None` when
+    /// no store is installed.
+    pub fn installed(exp: &str, base_seed: u64) -> Option<Scope> {
+        installed().map(|store| Scope::new(store, exp, base_seed))
+    }
+
+    /// Looks up a tile of this group; hit/miss counters tick.
+    pub fn lookup(&self, stream: &str, stream_seed: u64, index: u32) -> Option<TileTally> {
+        self.store.get(
+            &self.group,
+            &TileKey {
+                stream: stream.to_string(),
+                stream_seed,
+                index,
+            },
+        )
+    }
+
+    /// Records a freshly computed tile under this group.
+    pub fn record(&self, stream: &str, stream_seed: u64, index: u32, tally: TileTally) {
+        self.store.put(
+            self.group.clone(),
+            TileKey {
+                stream: stream.to_string(),
+                stream_seed,
+                index,
+            },
+            tally,
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Cache tests share the process-global store slot; serialize them.
-    static SLOT: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    const TALLY: TileTally = TileTally {
+        trials: 1,
+        counts: [1, 0, 0, 0],
+    };
 
     #[test]
-    fn inert_without_store_or_group() {
-        let _guard = SLOT.lock().unwrap_or_else(|e| e.into_inner());
-        uninstall();
-        assert!(!active());
-        assert_eq!(lookup("s", 1, 0), None);
-        record("s", 1, 0, TileTally::default()); // no-op
+    fn scopes_separate_groups_of_one_store() {
+        let store = Arc::new(Store::in_memory());
+        let e1 = Scope::new(Arc::clone(&store), "e1", 5);
+        let e2 = Scope::new(Arc::clone(&store), "e2", 5);
+        e1.record("s", 5, 0, TALLY);
+        assert_eq!(e2.lookup("s", 5, 0), None, "e2 cannot see e1's tile");
+        assert_eq!(e1.lookup("s", 5, 0), Some(TALLY));
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
+    }
+
+    // The only test of this binary that touches the process-global slot.
+    #[test]
+    fn install_flush_and_snapshot_follow_the_installed_store() {
+        assert!(uninstall().is_none());
+        assert!(Scope::installed("s", 1).is_none());
         assert_eq!(flush(), 0);
         assert_eq!(snapshot(), None);
 
-        // Store but no group: still inert, counters untouched.
         install(Arc::new(Store::in_memory()));
-        assert!(!active());
-        assert_eq!(lookup("s", 1, 0), None);
+        let scope = Scope::installed("s", 1).expect("installed");
+        scope.record("s", 1, 0, TALLY);
         let stats = snapshot().expect("installed");
-        assert_eq!((stats.hits, stats.misses, stats.inserts), (0, 0, 0));
-        uninstall();
-    }
-
-    #[test]
-    fn group_scopes_nest_and_restore() {
-        let _guard = SLOT.lock().unwrap_or_else(|e| e.into_inner());
-        install(Arc::new(Store::in_memory()));
-        with_group("e1", 5, || {
-            assert!(active());
-            record(
-                "s",
-                5,
-                0,
-                TileTally {
-                    trials: 1,
-                    counts: [1, 0, 0, 0],
-                },
-            );
-            with_group("e2", 5, || {
-                // Inner group cannot see e1's tile.
-                assert_eq!(lookup("s", 5, 0), None);
-            });
-            // Restored: e1's tile visible again.
-            assert_eq!(
-                lookup("s", 5, 0),
-                Some(TileTally {
-                    trials: 1,
-                    counts: [1, 0, 0, 0]
-                })
-            );
-        });
-        assert!(!active());
-        uninstall();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (0, 0, 1));
+        assert_eq!(flush(), 0, "an in-memory store writes no file");
+        assert!(uninstall().is_some());
     }
 }

@@ -20,8 +20,8 @@
 //!   versioned header, per-record checksums, corruption-tolerant load that
 //!   skips bad records, atomic temp+rename writes);
 //! - [`cache`] — the process-global installation point plus the
-//!   thread-local `(exp, base seed)` group context the estimator keys
-//!   lookups under;
+//!   per-run [`Scope`] (store handle and `(exp, base seed)` group) the
+//!   estimator keys lookups under;
 //! - [`fsio::atomic_write`] — the temp+rename write primitive, shared with
 //!   simlab's JSON writers so a killed run never leaves a truncated file.
 //!
@@ -34,7 +34,7 @@ pub mod cache;
 pub mod fsio;
 pub mod store;
 
-pub use cache::with_group;
+pub use cache::Scope;
 pub use fsio::atomic_write;
 pub use store::{Counts, GroupKey, LoadSummary, StatsSnapshot, Store, TileKey, TileTally};
 

@@ -6,7 +6,7 @@
 //!
 //! - [`GroupKey`] `(exp, base_seed)` — the experiment id and the base seed
 //!   of the run. One group maps to one on-disk file, and all cache traffic
-//!   happens inside an explicitly entered group (see [`crate::cache`]), so
+//!   goes through a run's [`crate::Scope`], which names its group, so
 //!   distinct experiments can never alias each other's tiles.
 //! - [`TileKey`] `(stream, stream_seed, tile_index)` — the scenario name,
 //!   the derived seed of the individual `estimate()` call (experiments

@@ -1,12 +1,12 @@
-//! The process-global transcript collector.
+//! The transcript collector of one run.
 //!
-//! The estimator's hot path cannot thread a capture handle through every
-//! call site (scenarios, tiles, worker closures), so capture is a small
-//! process-global switched on around a recording run: `begin` installs a
-//! filter, the estimator asks [`active`] (one relaxed atomic load — the
-//! only cost trials pay when capture is off) and then [`wants`] per trial
-//! seed, submits finished transcripts, and [`end`] returns everything
-//! collected and disarms the collector.
+//! A [`Capture`] is a value: whoever starts a recording run builds one
+//! with a filter and a per-trial ring capacity, hands it to the estimator
+//! (inside `fair_core::RunCtx`), and takes the collected transcripts back
+//! with [`Capture::finish`]. The estimator asks [`Capture::wants`] per
+//! trial seed and submits the finished transcripts; workers share the
+//! collector by reference, so its state sits behind one mutex touched only
+//! for trials a capture is running for.
 //!
 //! Determinism: [`CaptureFilter::Seeds`] selects trials by their seed, a
 //! pure function of the trial index, so it collects the same transcripts
@@ -16,7 +16,6 @@
 //! reason.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::transcript::Transcript;
@@ -34,79 +33,68 @@ pub enum CaptureFilter {
     Seeds(BTreeSet<u64>),
 }
 
+#[derive(Debug, Default)]
 struct State {
-    filter: CaptureFilter,
     seen: BTreeSet<u64>,
     transcripts: Vec<Transcript>,
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static RING_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_RING);
-static STATE: Mutex<Option<State>> = Mutex::new(None);
-
-fn state() -> std::sync::MutexGuard<'static, Option<State>> {
-    STATE.lock().unwrap_or_else(|e| e.into_inner())
+/// A transcript collector armed with a filter and a ring capacity.
+#[derive(Debug)]
+pub struct Capture {
+    filter: CaptureFilter,
+    ring: usize,
+    state: Mutex<State>,
 }
 
-/// Arms the collector with a filter and per-trial ring capacity,
-/// discarding anything a previous run left behind.
-pub fn begin(filter: CaptureFilter, ring_capacity: usize) {
-    let mut guard = state();
-    *guard = Some(State {
-        filter,
-        seen: BTreeSet::new(),
-        transcripts: Vec::new(),
-    });
-    RING_CAP.store(ring_capacity, Ordering::Relaxed);
-    ACTIVE.store(true, Ordering::Relaxed);
-}
-
-/// Whether a capture is in progress — the estimator's per-trial fast
-/// check.
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// The ring capacity captured transcripts should use.
-pub fn ring_capacity() -> usize {
-    RING_CAP.load(Ordering::Relaxed)
-}
-
-/// Whether the active capture wants the trial with this seed. Each seed is
-/// claimed at most once (`FirstN` also stops after `n` claims).
-pub fn wants(seed: u64) -> bool {
-    let mut guard = state();
-    let Some(st) = guard.as_mut() else {
-        return false;
-    };
-    let want = match &st.filter {
-        CaptureFilter::FirstN(n) => st.seen.len() < *n && !st.seen.contains(&seed),
-        CaptureFilter::Seeds(set) => set.contains(&seed) && !st.seen.contains(&seed),
-    };
-    if want {
-        st.seen.insert(seed);
+impl Capture {
+    /// A collector keeping the trials `filter` selects, each with a ring of
+    /// `ring` events.
+    pub fn new(filter: CaptureFilter, ring: usize) -> Capture {
+        Capture {
+            filter,
+            ring,
+            state: Mutex::new(State::default()),
+        }
     }
-    want
-}
 
-/// Submits a finished transcript (dropped silently if no capture is
-/// active).
-pub fn submit(t: Transcript) {
-    if let Some(st) = state().as_mut() {
+    /// The ring capacity captured transcripts use.
+    pub fn ring(&self) -> usize {
+        self.ring
+    }
+
+    /// Whether this capture wants the trial with this seed. Each seed is
+    /// claimed at most once (`FirstN` also stops after `n` claims).
+    pub fn wants(&self, seed: u64) -> bool {
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let want = !st.seen.contains(&seed)
+            && match &self.filter {
+                CaptureFilter::FirstN(n) => st.seen.len() < *n,
+                CaptureFilter::Seeds(set) => set.contains(&seed),
+            };
+        if want {
+            st.seen.insert(seed);
+        }
+        want
+    }
+
+    /// Submits a finished transcript.
+    pub fn submit(&self, t: Transcript) {
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         st.transcripts.push(t);
     }
-}
 
-/// Disarms the collector and returns the captured transcripts sorted by
-/// seed (submission order is schedule-dependent; seed order is not).
-pub fn end() -> Vec<Transcript> {
-    ACTIVE.store(false, Ordering::Relaxed);
-    let mut out = match state().take() {
-        Some(st) => st.transcripts,
-        None => Vec::new(),
-    };
-    out.sort_by_key(|t| t.seed);
-    out
+    /// The captured transcripts sorted by seed (submission order is
+    /// schedule-dependent; seed order is not).
+    pub fn finish(self) -> Vec<Transcript> {
+        let mut out = self
+            .state
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .transcripts;
+        out.sort_by_key(|t| t.seed);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -123,42 +111,35 @@ mod tests {
         }
     }
 
-    // One test fn: the collector is process-global and the test harness
-    // runs #[test] fns concurrently.
     #[test]
-    fn capture_lifecycle() {
-        // Inactive: nothing wanted, submissions dropped.
-        assert!(!active());
-        assert!(!wants(1));
-        submit(transcript(1));
-        assert!(end().is_empty());
-
-        // FirstN claims each seed once, up to n.
-        begin(CaptureFilter::FirstN(2), 16);
-        assert!(active());
-        assert_eq!(ring_capacity(), 16);
-        assert!(wants(10));
-        assert!(!wants(10), "a seed is claimed at most once");
-        assert!(wants(7));
-        assert!(!wants(3), "FirstN stops after n claims");
-        submit(transcript(10));
-        submit(transcript(7));
-        let got = end();
-        assert!(!active());
+    fn first_n_claims_each_seed_once_up_to_n() {
+        let capture = Capture::new(CaptureFilter::FirstN(2), 16);
+        assert_eq!(capture.ring(), 16);
+        assert!(capture.wants(10));
+        assert!(!capture.wants(10), "a seed is claimed at most once");
+        assert!(capture.wants(7));
+        assert!(!capture.wants(3), "FirstN stops after n claims");
+        capture.submit(transcript(10));
+        capture.submit(transcript(7));
         assert_eq!(
-            got.iter().map(|t| t.seed).collect::<Vec<_>>(),
+            capture.finish().iter().map(|t| t.seed).collect::<Vec<_>>(),
             vec![7, 10],
-            "end() returns transcripts sorted by seed"
+            "finish() returns transcripts sorted by seed"
         );
+    }
 
-        // Seeds filter selects by membership, independent of order.
-        begin(CaptureFilter::Seeds([4u64, 8].into_iter().collect()), 0);
-        assert!(!wants(5));
-        assert!(wants(8));
-        assert!(wants(4));
-        assert!(!wants(8));
-        submit(transcript(8));
-        submit(transcript(4));
-        assert_eq!(end().iter().map(|t| t.seed).collect::<Vec<_>>(), vec![4, 8]);
+    #[test]
+    fn seeds_filter_selects_by_membership() {
+        let capture = Capture::new(CaptureFilter::Seeds([4u64, 8].into_iter().collect()), 0);
+        assert!(!capture.wants(5));
+        assert!(capture.wants(8));
+        assert!(capture.wants(4));
+        assert!(!capture.wants(8));
+        capture.submit(transcript(8));
+        capture.submit(transcript(4));
+        assert_eq!(
+            capture.finish().iter().map(|t| t.seed).collect::<Vec<_>>(),
+            vec![4, 8]
+        );
     }
 }

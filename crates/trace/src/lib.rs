@@ -21,12 +21,12 @@
 //!   `(experiment, seed)` and byte-compared against a recording —
 //!   extending simlab's determinism guarantee from final tallies down to
 //!   individual engine events.
-//! * [`capture`] — the process-global transcript collector the estimator
-//!   consults per trial (one relaxed atomic load when disabled).
+//! * [`capture`] — the transcript collector of one run, a value the
+//!   estimator consults per trial seed (absent when nothing is captured).
 //! * [`metrics`] — per-protocol integer counters and histograms (rounds,
 //!   messages, bytes, corruptions, aborts) merged commutatively from
-//!   per-tile batches, so exported summaries are bit-identical for every
-//!   worker count.
+//!   per-tile batches into a [`ProtoStore`], so exported summaries are
+//!   bit-identical for every worker count.
 //! * [`stats`] — the shared integer-arithmetic quantile code (also used
 //!   by `fair-simlab`'s latency summaries).
 //!
@@ -40,8 +40,9 @@ pub mod stats;
 pub mod tracer;
 pub mod transcript;
 
+pub use capture::{Capture, CaptureFilter};
 pub use event::{debug_len, Dst, Src, TraceEvent};
-pub use metrics::{ExecStats, ProtoBatch, ProtoSummary};
+pub use metrics::{ExecStats, ProtoBatch, ProtoStore, ProtoSummary};
 pub use stats::{percentile_index, QuantileSummary};
 pub use tracer::{NoopTracer, RecordingTracer, Tracer};
 pub use transcript::{diff_text, Diff, Transcript};

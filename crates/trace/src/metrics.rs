@@ -5,17 +5,17 @@
 //! Mirrors `fair-simlab`'s integer-tally discipline so the exported
 //! summaries are **bit-identical for every `--jobs` value**: estimators
 //! accumulate one [`ProtoBatch`] per scheduler tile (one mutex touch per
-//! ~64 trials, never per trial) and submit it here; batch merges are
+//! ~64 trials, never per trial) into a [`ProtoStore`]; batch merges are
 //! commutative integer additions plus sample-multiset unions, and
-//! [`drain`] sorts every sample batch before taking order statistics —
-//! so no observable output depends on which worker ran which tile.
+//! [`ProtoStore::drain`] sorts every sample batch before taking order
+//! statistics — so no observable output depends on which worker ran which
+//! tile.
 //!
-//! Collection is off by default; the recorded experiment runner enables
-//! it around each experiment and drains [`ProtoSummary`] rows into the
-//! structured JSON records afterwards.
+//! A run collects only if it carries a store: the recorded experiment
+//! runner gives each experiment its own and drains [`ProtoSummary`] rows
+//! into the structured JSON records afterwards.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::event::TraceEvent;
@@ -98,7 +98,7 @@ impl ProtoBatch {
     }
 
     /// Merges another batch into this one (commutative up to sample
-    /// order, which [`drain`] erases by sorting).
+    /// order, which [`ProtoStore::drain`] erases by sorting).
     pub fn merge(&mut self, mut other: ProtoBatch) {
         self.trials += other.trials;
         self.corruptions += other.corruptions;
@@ -131,52 +131,69 @@ pub struct ProtoSummary {
     pub bytes: QuantileSummary,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static STORE: Mutex<BTreeMap<String, ProtoBatch>> = Mutex::new(BTreeMap::new());
-
-fn store() -> std::sync::MutexGuard<'static, BTreeMap<String, ProtoBatch>> {
-    STORE.lock().unwrap_or_else(|e| e.into_inner())
+/// A per-protocol metrics store: [`ProtoBatch`]es merged by scenario
+/// name behind one mutex, touched once per tile.
+///
+/// Flag-free: a run that wants metrics owns a store (inside its
+/// observer) and one that does not has none, so nothing here is ever
+/// switched on or off. `new` is `const`, so a long-lived service can keep
+/// one in a `static`.
+#[derive(Debug, Default)]
+pub struct ProtoStore {
+    batches: Mutex<BTreeMap<String, ProtoBatch>>,
 }
 
-/// Whether per-protocol metrics are being collected.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns collection on/off and clears all accumulated state.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-    store().clear();
-}
-
-/// Submits one tile's batch under a scenario name. No-op unless
-/// collection is enabled.
-pub fn record_batch(name: &str, batch: ProtoBatch) {
-    if !enabled() || batch.trials == 0 {
-        return;
-    }
-    let mut guard = store();
-    match guard.get_mut(name) {
-        Some(acc) => acc.merge(batch),
-        None => {
-            guard.insert(name.to_string(), batch);
+impl ProtoStore {
+    /// An empty store.
+    pub const fn new() -> ProtoStore {
+        ProtoStore {
+            batches: Mutex::new(BTreeMap::new()),
         }
     }
-}
 
-/// Drains everything collected so far into per-protocol summaries,
-/// sorted by name. The output is a pure function of the recorded trial
-/// multiset — identical for every worker count.
-pub fn drain() -> Vec<ProtoSummary> {
-    summarize(std::mem::take(&mut *store()))
-}
+    fn batches(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, ProtoBatch>> {
+        self.batches.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
-/// Summarizes everything collected so far **without draining** — the
-/// live export behind `fair-serve`'s `/metrics` endpoint, which must be
-/// able to report accumulated per-protocol counters while the server
-/// keeps collecting across requests.
-pub fn snapshot() -> Vec<ProtoSummary> {
-    summarize(store().clone())
+    /// Merges one tile's batch in under a scenario name (empty batches
+    /// are ignored).
+    pub fn record(&self, name: &str, batch: ProtoBatch) {
+        if batch.trials == 0 {
+            return;
+        }
+        let mut guard = self.batches();
+        match guard.get_mut(name) {
+            Some(acc) => acc.merge(batch),
+            None => {
+                guard.insert(name.to_string(), batch);
+            }
+        }
+    }
+
+    /// Merges every batch of `other` into this store.
+    pub fn absorb(&self, other: ProtoStore) {
+        let other = other
+            .batches
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner());
+        for (name, batch) in other {
+            self.record(&name, batch);
+        }
+    }
+
+    /// Drains everything collected so far into per-protocol summaries,
+    /// sorted by name. The output is a pure function of the recorded
+    /// trial multiset — identical for every worker count.
+    pub fn drain(&self) -> Vec<ProtoSummary> {
+        summarize(std::mem::take(&mut *self.batches()))
+    }
+
+    /// Summarizes everything collected so far **without draining** — the
+    /// live export behind `fair-serve`'s `/metrics` endpoint, which keeps
+    /// accumulating across requests.
+    pub fn snapshot(&self) -> Vec<ProtoSummary> {
+        summarize(self.batches().clone())
+    }
 }
 
 fn summarize(batches: BTreeMap<String, ProtoBatch>) -> Vec<ProtoSummary> {
@@ -212,12 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collection_is_a_no_op() {
-        set_enabled(false);
-        let mut b = ProtoBatch::default();
-        b.record(&stats(3, 5, 50, 0));
-        record_batch("x", b);
-        assert!(drain().is_empty());
+    fn empty_batches_are_ignored() {
+        let store = ProtoStore::new();
+        store.record("x", ProtoBatch::default());
+        assert!(store.drain().is_empty());
     }
 
     #[test]
@@ -228,16 +243,14 @@ mod tests {
         let mut b2 = ProtoBatch::default();
         b2.record(&stats(6, 7, 70, 0));
 
-        set_enabled(true);
-        record_batch("pi", b1.clone());
-        record_batch("pi", b2.clone());
-        let ab = drain();
+        let store = ProtoStore::new();
+        store.record("pi", b1.clone());
+        store.record("pi", b2.clone());
+        let ab = store.drain();
 
-        set_enabled(true);
-        record_batch("pi", b2);
-        record_batch("pi", b1);
-        let ba = drain();
-        set_enabled(false);
+        store.record("pi", b2);
+        store.record("pi", b1);
+        let ba = store.drain();
 
         assert_eq!(ab, ba);
         assert_eq!(ab.len(), 1);
@@ -255,18 +268,36 @@ mod tests {
     fn snapshot_reports_without_draining() {
         let mut b = ProtoBatch::default();
         b.record(&stats(3, 5, 50, 0));
-        set_enabled(true);
-        record_batch("pi", b.clone());
-        let snap = snapshot();
+        let store = ProtoStore::new();
+        store.record("pi", b.clone());
+        let snap = store.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].trials, 1);
         // The store still holds the batch: a later batch accumulates on
         // top of it, and drain sees both.
-        record_batch("pi", b);
-        let drained = drain();
+        store.record("pi", b);
+        let drained = store.drain();
         assert_eq!(drained[0].trials, 2);
-        assert!(snapshot().is_empty());
-        set_enabled(false);
+        assert!(store.snapshot().is_empty());
+    }
+
+    #[test]
+    fn absorb_merges_another_store() {
+        let mut b = ProtoBatch::default();
+        b.record(&stats(3, 5, 50, 0));
+        let long_lived = ProtoStore::new();
+        long_lived.record("pi", b.clone());
+        let run = ProtoStore::new();
+        run.record("pi", b.clone());
+        run.record("sigma", b);
+        long_lived.absorb(run);
+        let snap = long_lived.snapshot();
+        assert_eq!(
+            snap.iter()
+                .map(|p| (p.name.as_str(), p.trials))
+                .collect::<Vec<_>>(),
+            vec![("pi", 2), ("sigma", 1)]
+        );
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)] // an example reports its results on stdout
 //! The paper's opening example: two ways to sign a contract.
 //!
 //! Runs the naive fixed-order exchange Π1 and the coin-tossed exchange Π2
@@ -7,15 +8,27 @@
 //! Run with: `cargo run --release --example contract_signing`
 
 use fair_core::fairness::{compare, Assessment, FairnessOrder};
-use fair_core::{analytic, best_of, Payoff};
+use fair_core::{analytic, best_of, Payoff, RunCtx};
 use fair_protocols::scenarios::contract_sweep;
 
 fn main() {
     let payoff = Payoff::standard();
     let trials = 1500;
 
-    let (e1, b1) = best_of(&contract_sweep(false), &payoff, trials, 7);
-    let (e2, b2) = best_of(&contract_sweep(true), &payoff, trials, 8);
+    let (e1, b1) = best_of(
+        &RunCtx::default(),
+        &contract_sweep(false),
+        &payoff,
+        trials,
+        7,
+    );
+    let (e2, b2) = best_of(
+        &RunCtx::default(),
+        &contract_sweep(true),
+        &payoff,
+        trials,
+        8,
+    );
 
     println!("Π1 (fixed opening order):");
     println!("  best attack: {}", e1[b1]);

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)] // an example reports its results on stdout
 //! Corruption costs and the Theorem 6 duality: when corrupting parties
 //! costs the adversary something, utility-balanced protocols are exactly
 //! the ones that are ideally fair under the cheapest admissible price
@@ -6,7 +7,7 @@
 //! Run with: `cargo run --release --example corruption_costs`
 
 use fair_core::cost::{cost_from_phi, is_ideally_fair, CostFn};
-use fair_core::{analytic, best_of, Payoff};
+use fair_core::{analytic, best_of, Payoff, RunCtx};
 use fair_protocols::scenarios::optn_sweep;
 
 fn main() {
@@ -17,7 +18,13 @@ fn main() {
     // Measure φ(t): the best t-adversary utility against Π^Opt_nSFE.
     let phi: Vec<f64> = (1..n)
         .map(|t| {
-            let (ests, b) = best_of(&optn_sweep(n, t), &payoff, trials, t as u64);
+            let (ests, b) = best_of(
+                &RunCtx::default(),
+                &optn_sweep(n, t),
+                &payoff,
+                trials,
+                t as u64,
+            );
             println!(
                 "φ({t}) = {:.3}  (paper {:.3})",
                 ests[b].mean,

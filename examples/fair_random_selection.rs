@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)] // an example reports its results on stdout
 //! Fair random selection — the "future direction" flagged at the end of
 //! Section 4.1: primitives like random selection, used inside larger
 //! constructions, deserve optimally fair protocols of their own.

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)] // an example reports its results on stdout
 //! A multi-party workload: n parties jointly evaluate a function and care
 //! about fairness — modeled on a lottery where everyone contributes a
 //! ticket and the concatenated inputs decide the pot.
@@ -8,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example multiparty_lottery`
 
-use fair_core::{analytic, best_of, Payoff};
+use fair_core::{analytic, best_of, Payoff, RunCtx};
 use fair_protocols::scenarios::{gmw_half_sweep, optn_sweep};
 
 fn main() {
@@ -19,7 +20,13 @@ fn main() {
     println!("Π^Opt_nSFE, n = {n} (optimally fair, utility-balanced):");
     let mut sum = 0.0;
     for t in 1..n {
-        let (ests, b) = best_of(&optn_sweep(n, t), &payoff, trials, t as u64);
+        let (ests, b) = best_of(
+            &RunCtx::default(),
+            &optn_sweep(n, t),
+            &payoff,
+            trials,
+            t as u64,
+        );
         sum += ests[b].mean;
         println!(
             "  t={t}: measured {:.3} ± {:.3}   paper {:.3}",
@@ -38,7 +45,13 @@ fn main() {
     println!("Π^1/2_GMW, n = {n} (honest-majority fair, cliff at n/2):");
     let mut sum_half = 0.0;
     for t in 1..n {
-        let (ests, b) = best_of(&gmw_half_sweep(n, t), &payoff, trials, 100 + t as u64);
+        let (ests, b) = best_of(
+            &RunCtx::default(),
+            &gmw_half_sweep(n, t),
+            &payoff,
+            trials,
+            100 + t as u64,
+        );
         sum_half += ests[b].mean;
         println!(
             "  t={t}: measured {:.3} ± {:.3}   paper {:.3}",

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)] // an example reports its results on stdout
 //! The Section 5 separation, live: the "leaky" protocol Π̃ passes the
 //! Gordon–Katz 1/2-security and privacy definitions yet leaks an honest
 //! input with probability 1/4 — and no F^{∧,$} simulator can hide it.
@@ -5,6 +6,7 @@
 //! Run with: `cargo run --release --example partial_fairness_gap`
 
 use fair_bench::partial_exp::{ideal_acceptances, real_acceptances, simulator_grid};
+use fair_core::RunCtx;
 use fair_protocols::leaky::probe_real;
 
 fn main() {
@@ -25,7 +27,7 @@ fn main() {
     println!();
 
     // Step 2: the distinguishers of Lemma 26.
-    let (rz1, rz2) = real_acceptances(trials as usize, 99);
+    let (rz1, rz2) = real_acceptances(&RunCtx::default(), trials as usize, 99);
     println!(
         "real world:  Pr[Z1] = {:.3}   Pr[Z2] = {:.3}",
         rz1.rate, rz2.rate
@@ -33,7 +35,7 @@ fn main() {
 
     let mut best_gap = f64::INFINITY;
     for sim in simulator_grid() {
-        let (iz1, iz2) = ideal_acceptances(&sim, 20_000, 7);
+        let (iz1, iz2) = ideal_acceptances(&RunCtx::default(), &sim, 20_000, 7);
         let gap = (rz1.rate - iz1.rate).abs().max((rz2.rate - iz2.rate).abs());
         if gap < best_gap {
             best_gap = gap;

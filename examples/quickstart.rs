@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)] // an example reports its results on stdout
 //! Quickstart: measure how fair a protocol is.
 //!
 //! Builds the paper's optimally fair two-party protocol Π^Opt_2SFE for the
@@ -6,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use fair_core::{analytic, best_of, Payoff};
+use fair_core::{analytic, best_of, Payoff, RunCtx};
 use fair_protocols::scenarios::opt2_sweep;
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
 
     // Sweep the attack-strategy library over Π^Opt_2SFE (swap function).
     let trials = 1500;
-    let (estimates, best) = best_of(&opt2_sweep(), &payoff, trials, 42);
+    let (estimates, best) = best_of(&RunCtx::default(), &opt2_sweep(), &payoff, trials, 42);
     for e in &estimates {
         println!("{e}");
     }

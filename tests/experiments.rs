@@ -6,11 +6,13 @@
 //! point the way the `reproduce` binary does.)
 
 use fair_bench::run_experiment;
+use fair_core::RunCtx;
 
 const TRIALS: usize = 150;
 
 fn assert_experiment(id: &str, seed: u64) {
-    let reports = run_experiment(id, TRIALS, seed).expect("known experiment id");
+    let reports =
+        run_experiment(&RunCtx::default(), id, TRIALS, seed).expect("known experiment id");
     for r in reports {
         assert!(r.pass(), "{} failed:\n{}", r.id, r.render());
     }
@@ -68,5 +70,5 @@ fn e13_composability() {
 
 #[test]
 fn unknown_experiment_is_rejected() {
-    assert!(run_experiment("e99", 10, 0).is_none());
+    assert!(run_experiment(&RunCtx::default(), "e99", 10, 0).is_none());
 }

@@ -3,29 +3,53 @@
 //! fairer?" answered empirically.
 
 use fair_core::fairness::{at_least_as_fair, compare, is_optimal_among, Assessment, FairnessOrder};
-use fair_core::{best_of, Payoff};
+use fair_core::{best_of, Payoff, RunCtx};
 use fair_protocols::scenarios::{contract_sweep, one_round_sweep, opt2_sweep};
 
 const TRIALS: usize = 250;
 const TOL: f64 = 0.06;
 
 fn assess_pi1() -> Assessment {
-    let (ests, _) = best_of(&contract_sweep(false), &Payoff::standard(), TRIALS, 1);
+    let (ests, _) = best_of(
+        &RunCtx::default(),
+        &contract_sweep(false),
+        &Payoff::standard(),
+        TRIALS,
+        1,
+    );
     Assessment::from_estimates("Pi1", ests)
 }
 
 fn assess_pi2() -> Assessment {
-    let (ests, _) = best_of(&contract_sweep(true), &Payoff::standard(), TRIALS, 2);
+    let (ests, _) = best_of(
+        &RunCtx::default(),
+        &contract_sweep(true),
+        &Payoff::standard(),
+        TRIALS,
+        2,
+    );
     Assessment::from_estimates("Pi2", ests)
 }
 
 fn assess_opt2() -> Assessment {
-    let (ests, _) = best_of(&opt2_sweep(), &Payoff::standard(), TRIALS, 3);
+    let (ests, _) = best_of(
+        &RunCtx::default(),
+        &opt2_sweep(),
+        &Payoff::standard(),
+        TRIALS,
+        3,
+    );
     Assessment::from_estimates("Opt2", ests)
 }
 
 fn assess_strawman() -> Assessment {
-    let (ests, _) = best_of(&one_round_sweep(), &Payoff::standard(), TRIALS, 4);
+    let (ests, _) = best_of(
+        &RunCtx::default(),
+        &one_round_sweep(),
+        &Payoff::standard(),
+        TRIALS,
+        4,
+    );
     Assessment::from_estimates("OneRound", ests)
 }
 
