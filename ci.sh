@@ -12,9 +12,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== fairlint (strict + graph)"
 mkdir -p target/fairlint
-# Gate: zero non-baselined diagnostics, machine-readable report on disk.
-cargo run -q -p fairlint -- --strict --baseline check --json \
-  > target/fairlint/report.json
+# Gate: zero diagnostics, machine-readable report on disk.
+cargo run -q -p fairlint -- --strict --json > target/fairlint/report.json
 grep -q '"violations":\[\]' target/fairlint/report.json
 # The exported call graph must cover the workspace and be deterministic:
 # two consecutive runs are byte-identical, and the payload parses enough
@@ -66,7 +65,10 @@ grep -q 'broken.toml:1: error:' "$BAD_DIR/err.txt"
 rm -rf "$BAD_DIR"
 
 echo "== reproduce smoke run (parallel, JSON records)"
-FAIR_TRIALS=100 ./target/release/reproduce --jobs 2 --trace --json BENCH_reproduce.json e1 e4 e13 s_deposit_coin
+# The aggregate record goes under target/: the tracked BENCH_reproduce.json
+# holds the full-suite run and is regenerated on purpose, never by the gate.
+FAIR_TRIALS=100 ./target/release/reproduce --jobs 2 --trace \
+  --json target/simlab/reproduce_smoke.json e1 e4 e13 s_deposit_coin
 
 echo "== fair-serve smoke (ephemeral boot, fair-load --check, graceful shutdown)"
 # Perf gate pinned to --loops 1: the 5k rps floor below measures the

@@ -1,4 +1,4 @@
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 //! `fair-load` — closed-loop load generator for a `fair-serve` instance.
 //!
 //! Usage:

@@ -1,4 +1,4 @@
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 //! `fair-serve` — serves the experiment registry over HTTP.
 //!
 //! Usage:

@@ -1,4 +1,4 @@
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 //! `fair-trace` — record, replay, inspect, and rank per-trial engine
 //! transcripts for the experiment suite.
 //!

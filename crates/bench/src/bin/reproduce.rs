@@ -1,4 +1,4 @@
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 //! Reproduces the paper's quantitative claims: runs the requested
 //! experiments (default: all) through the `fair-simlab` scheduler and
 //! prints paper-vs-measured tables plus run observability.

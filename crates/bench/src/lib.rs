@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-#![allow(clippy::print_stdout)] // the experiment reporters print their tables
+#![allow(clippy::print_stdout, clippy::print_stderr)] // the experiment reporters print their tables
 #![warn(missing_docs)]
 //! Experiment harness for the `fair-protocols` workspace: every table the
 //! reproduction generates (experiments E1–E13 from DESIGN.md) plus the
@@ -20,7 +20,7 @@ use fair_core::RunCtx;
 /// Number of Monte-Carlo trials used by the experiment binaries (override
 /// with the `FAIR_TRIALS` environment variable). A malformed value is
 /// reported on stderr, then the default of 1000 applies. Routed through
-/// `fair-simlab`'s sanctioned env entry point (fairlint rule R4).
+/// `fair-simlab`'s sanctioned env entry point ([`fair_simlab::config`]).
 pub fn default_trials() -> usize {
     fair_simlab::config::env_usize("FAIR_TRIALS", 1000)
 }

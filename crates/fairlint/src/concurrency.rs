@@ -5,7 +5,7 @@
 //! All three work from the same per-function scan: a linear walk of
 //! each function body that tracks *lock-guard liveness*. A guard is
 //! born at an acquisition site (`.lock(…)`, empty-parens `.read()` /
-//! `.write()`, or a configured guard-returning helper), named after its
+//! `.write()`, or a bare `lock(…)` helper call), named after its
 //! lock site, and dies at an explicit `drop(guard)`, at the end of its
 //! binding scope (brace matching), or — for statement-temporaries that
 //! never bind the guard — at the end of the statement. The scan is a
@@ -24,7 +24,7 @@
 //!   the workspace are a deadlock risk, flagged at both sites.
 //! * **C3** extends S2: functions in panic-free files must not call
 //!   workspace functions that can panic (unwrap/expect/panic!/indexing
-//!   facts from the graph), transitively to `[rules.C3] depth`, unless
+//!   facts from the graph), transitively two call hops deep, unless
 //!   the callee is allowlisted as proven-total in `[rules.C3]
 //!   allow_fns`.
 
@@ -34,6 +34,14 @@ use crate::diag::{Diagnostic, Severity};
 use crate::graph::{extract_calls, find_tokens, Graph, LineIndex};
 use crate::items;
 use crate::workspace::Workspace;
+
+/// The guard-returning helper name the scans treat as an acquisition:
+/// bare `lock(x)` / `self.lock(x)` calls that hand back a `MutexGuard`
+/// (the sharded-cache idiom).
+const GUARD_HELPER: &str = "lock";
+
+/// How many call-graph hops C3 follows out of a panic-free file.
+const C3_DEPTH: usize = 2;
 
 /// How a guard binding holds on to its lock.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,41 +85,25 @@ pub struct OrderObs {
     pub line: usize,
 }
 
-/// Runs C1 and C2's per-function scans plus C3's reachability walk,
-/// appending diagnostics to `out`.
+/// Runs C1 and C2's per-function scans over every crate plus C3's
+/// reachability walk, appending diagnostics to `out`.
 pub fn check(ws: &Workspace, g: &Graph, out: &mut Vec<Diagnostic>) {
     let mut order: Vec<OrderObs> = Vec::new();
     for (si, sym) in g.symbols.iter().enumerate() {
-        if !crate_in_scope(&ws.config.c1_crates, sym.item.krate.as_deref())
-            && !crate_in_scope(&ws.config.c2_crates, sym.item.krate.as_deref())
-        {
-            continue;
-        }
         let Some(f) = ws.file_by_rel(&sym.item.rel) else {
             continue;
         };
-        let c1 = crate_in_scope(&ws.config.c1_crates, sym.item.krate.as_deref());
-        let c2 = crate_in_scope(&ws.config.c2_crates, sym.item.krate.as_deref());
-        scan_function(ws, g, si, &f.text, c1, c2, &mut order, out);
+        scan_function(g, si, &f.text, &mut order, out);
     }
     check_c2(&order, out);
     check_c3(ws, g, out);
 }
 
-/// Whether a crate list (empty = every crate) covers `krate`.
-fn crate_in_scope(list: &[String], krate: Option<&str>) -> bool {
-    list.is_empty() || krate.is_some_and(|k| list.iter().any(|c| c == k))
-}
-
 /// The linear guard-liveness walk over one function body.
-#[allow(clippy::too_many_arguments)]
 fn scan_function(
-    ws: &Workspace,
     g: &Graph,
     si: usize,
     text: &str,
-    c1: bool,
-    c2: bool,
     order: &mut Vec<OrderObs>,
     out: &mut Vec<Diagnostic>,
 ) {
@@ -129,7 +121,7 @@ fn scan_function(
         Call(usize),
     }
     let mut events: Vec<(usize, Ev)> = Vec::new();
-    for acq in find_acquisitions(body, base, &ws.config.c1_guard_helpers) {
+    for acq in find_acquisitions(body, base) {
         events.push((acq.off, Ev::Acq(acq)));
     }
     for off in find_tokens(body, "drop(") {
@@ -179,16 +171,14 @@ fn scan_function(
         let line = lines.line_of(off);
         match ev {
             Ev::Acq(acq) => {
-                if c2 {
-                    for held in &live {
-                        if held.site != acq.site {
-                            order.push(OrderObs {
-                                held: held.site.clone(),
-                                acquired: acq.site.clone(),
-                                rel: sym.item.rel.clone(),
-                                line,
-                            });
-                        }
+                for held in &live {
+                    if held.site != acq.site {
+                        order.push(OrderObs {
+                            held: held.site.clone(),
+                            acquired: acq.site.clone(),
+                            rel: sym.item.rel.clone(),
+                            line,
+                        });
                     }
                 }
                 let (var, expiry, bind_depth) = match acq.kind {
@@ -211,43 +201,34 @@ fn scan_function(
                 });
             }
             Ev::Block(what) => {
-                if c1 {
-                    if let Some(g0) = live.first() {
-                        if reported.insert((line, what.to_string())) {
-                            out.push(c1_diag(
-                                sym.item.rel.clone(),
-                                line,
-                                format!(
-                                    "blocking op ({what}) while lock guard `{}` (acquired line {}) \
-                                     is live; drop the guard before blocking",
-                                    g0.site, g0.line
-                                ),
-                            ));
-                        }
+                if let Some(g0) = live.first() {
+                    if reported.insert((line, what.to_string())) {
+                        out.push(c1_diag(
+                            sym.item.rel.clone(),
+                            line,
+                            format!(
+                                "blocking op ({what}) while lock guard `{}` (acquired line {}) \
+                                 is live; drop the guard before blocking",
+                                g0.site, g0.line
+                            ),
+                        ));
                     }
                 }
             }
             Ev::Call(to) => {
-                if c1 {
-                    if let Some(g0) = live.first() {
-                        let t = &g.symbols[to];
-                        let fact = &t.blocking[0];
-                        if reported.insert((line, t.item.qname.clone())) {
-                            out.push(c1_diag(
-                                sym.item.rel.clone(),
-                                line,
-                                format!(
-                                    "call to `{}` — which performs {} at {}:{} — while lock guard \
-                                     `{}` (acquired line {}) is live; drop the guard first",
-                                    t.item.qname,
-                                    fact.what,
-                                    t.item.rel,
-                                    fact.line,
-                                    g0.site,
-                                    g0.line
-                                ),
-                            ));
-                        }
+                if let Some(g0) = live.first() {
+                    let t = &g.symbols[to];
+                    let fact = &t.blocking[0];
+                    if reported.insert((line, t.item.qname.clone())) {
+                        out.push(c1_diag(
+                            sym.item.rel.clone(),
+                            line,
+                            format!(
+                                "call to `{}` — which performs {} at {}:{} — while lock guard \
+                                 `{}` (acquired line {}) is live; drop the guard first",
+                                t.item.qname, fact.what, t.item.rel, fact.line, g0.site, g0.line
+                            ),
+                        ));
                     }
                 }
             }
@@ -267,8 +248,8 @@ fn c1_diag(rel: String, line: usize, message: String) -> Diagnostic {
 
 /// Finds every lock acquisition in a body. Acquisition forms:
 /// `.lock(…)`, empty-parens `.read()` / `.write()` (RwLock — the io
-/// traits take arguments), and bare calls to configured guard helpers.
-fn find_acquisitions(body: &str, base: usize, helpers: &[String]) -> Vec<Acq> {
+/// traits take arguments), and bare calls to the [`GUARD_HELPER`].
+fn find_acquisitions(body: &str, base: usize) -> Vec<Acq> {
     let b = body.as_bytes();
     let mut out = Vec::new();
     let mut push = |tok_off: usize, open: usize, site: String| {
@@ -292,22 +273,19 @@ fn find_acquisitions(body: &str, base: usize, helpers: &[String]) -> Vec<Acq> {
             push(off, open, site);
         }
     }
-    for helper in helpers {
-        let pat = format!("{helper}(");
-        for off in find_tokens(body, &pat) {
-            // Skip method syntax (`x.lock()` is handled above), path
-            // tails (`Mutex::lock`), and definitions (`fn lock(`).
-            if off > 0 && (b[off - 1] == b'.' || b[off - 1] == b':') {
-                continue;
-            }
-            if preceded_by_word(body, off, "fn") {
-                continue;
-            }
-            let open = off + helper.len();
-            let args = paren_args(body, open);
-            let site = first_site_ident(args).unwrap_or_else(|| helper.clone());
-            push(off, open, site);
+    for off in find_tokens(body, &format!("{GUARD_HELPER}(")) {
+        // Skip method syntax (`x.lock()` is handled above), path
+        // tails (`Mutex::lock`), and definitions (`fn lock(`).
+        if off > 0 && (b[off - 1] == b'.' || b[off - 1] == b':') {
+            continue;
         }
+        if preceded_by_word(body, off, "fn") {
+            continue;
+        }
+        let open = off + GUARD_HELPER.len();
+        let args = paren_args(body, open);
+        let site = first_site_ident(args).unwrap_or_else(|| GUARD_HELPER.to_string());
+        push(off, open, site);
     }
     out.sort_by_key(|a| a.off);
     out
@@ -540,11 +518,10 @@ fn check_c2(order: &[OrderObs], out: &mut Vec<Diagnostic>) {
 }
 
 /// C3 — panic reachability from S2's panic-free files through the call
-/// graph, to the configured depth.
+/// graph, [`C3_DEPTH`] hops deep.
 fn check_c3(ws: &Workspace, g: &Graph, out: &mut Vec<Diagnostic>) {
     let in_s2 = |rel: &str| ws.config.engine_paths.iter().any(|p| p == rel);
     let allowed = |qname: &str| ws.config.c3_allow_fns.iter().any(|a| a == qname);
-    let depth_limit = ws.config.c3_depth.max(1);
     for (si, sym) in g.symbols.iter().enumerate() {
         if !in_s2(&sym.item.rel) {
             continue;
@@ -585,7 +562,7 @@ fn check_c3(ws: &Workspace, g: &Graph, out: &mut Vec<Diagnostic>) {
                     });
                 }
             }
-            if depth < depth_limit && visited.insert(ti) {
+            if depth < C3_DEPTH && visited.insert(ti) {
                 let mut via2 = via.clone();
                 via2.push(t.item.qname.clone());
                 for e in g.callees(ti).filter(|e| e.certain) {
@@ -603,25 +580,25 @@ mod tests {
     #[test]
     fn binding_classification() {
         let body = "let g = m.lock().unwrap_or_else(|e| e.into_inner());\nio();";
-        let acqs = find_acquisitions(body, 0, &[]);
+        let acqs = find_acquisitions(body, 0);
         assert_eq!(acqs.len(), 1);
         assert_eq!(acqs[0].site, "m");
         assert!(matches!(acqs[0].kind, GuardKind::Let(ref v) if v == "g"));
 
         // Chaining past the guard binds a derived value, not the guard.
         let body = "let taken = slot.lock().unwrap().take();";
-        let acqs = find_acquisitions(body, 0, &[]);
+        let acqs = find_acquisitions(body, 0);
         assert!(matches!(acqs[0].kind, GuardKind::Temp { .. }), "{acqs:?}");
 
         // `let _ = guard` drops immediately.
         let body = "let _ = m.lock();";
-        let acqs = find_acquisitions(body, 0, &[]);
+        let acqs = find_acquisitions(body, 0);
         assert!(matches!(acqs[0].kind, GuardKind::Temp { .. }));
     }
 
     #[test]
     fn rwlock_needs_empty_parens() {
-        let acqs = find_acquisitions("let g = STORE.read();\nsock.read(&mut buf);", 0, &[]);
+        let acqs = find_acquisitions("let g = STORE.read();\nsock.read(&mut buf);", 0);
         assert_eq!(acqs.len(), 1);
         assert_eq!(acqs[0].site, "STORE");
     }
@@ -631,7 +608,6 @@ mod tests {
         let acqs = find_acquisitions(
             "let mut shard = lock(self.shard_for(&group));\nlet g = self.lock(shard);",
             0,
-            &["lock".to_string()],
         );
         assert_eq!(acqs.len(), 2);
         assert_eq!(acqs[0].site, "shard_for");
@@ -641,11 +617,7 @@ mod tests {
 
     #[test]
     fn fn_definitions_are_not_helper_calls() {
-        let acqs = find_acquisitions(
-            "fn lock(m: &M) -> G { m.inner.lock() }",
-            0,
-            &["lock".into()],
-        );
+        let acqs = find_acquisitions("fn lock(m: &M) -> G { m.inner.lock() }", 0);
         // Only the `.lock()` inside the body counts, not `fn lock(`.
         assert_eq!(acqs.len(), 1);
         assert_eq!(acqs[0].site, "inner");

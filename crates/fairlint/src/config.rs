@@ -1,56 +1,14 @@
 //! `fairlint.toml` — checked-in, path-scoped configuration.
 //!
 //! Parsing rides the workspace's shared TOML-subset parser
-//! ([`fair_simlab::tomlish`]) in lenient mode: unknown keys and
-//! constructs are ignored so the format can grow. This module narrows
-//! the shared [`tomlish::Value`](fair_simlab::tomlish::Value) to the
-//! string-centric [`TomlValue`] shape the config schema actually uses.
+//! ([`fair_simlab::tomlish`]) in strict mode, and every key must be one
+//! the schema below knows: a misspelled or retired key would otherwise
+//! silently leave a rule on its default scope.
 
+use std::io;
 use std::path::Path;
 
-use fair_simlab::tomlish;
-
-/// One parsed `key = value` under its section.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TomlValue {
-    /// `key = "…"`
-    Str(String),
-    /// `key = ["…", "…"]`
-    List(Vec<String>),
-    /// `key = true`
-    Bool(bool),
-    /// `key = 3`
-    Int(i64),
-}
-
-/// Flat `section.key → value` view of the file (sections joined with
-/// dots). Order-preserving and deterministic. Values the config schema
-/// has no use for (floats, non-string array elements) are dropped, like
-/// any other construct lenient parsing does not understand.
-pub fn parse_toml_subset(src: &str) -> Vec<(String, TomlValue)> {
-    tomlish::parse_lenient(src)
-        .into_iter()
-        .filter_map(|item| Some((item.key, narrow(item.value)?)))
-        .collect()
-}
-
-fn narrow(value: tomlish::Value) -> Option<TomlValue> {
-    match value {
-        tomlish::Value::Str(s) => Some(TomlValue::Str(s)),
-        tomlish::Value::Bool(b) => Some(TomlValue::Bool(b)),
-        tomlish::Value::Int(n) => Some(TomlValue::Int(n)),
-        tomlish::Value::Float(_) => None,
-        tomlish::Value::List(items) => Some(TomlValue::List(
-            items
-                .into_iter()
-                .filter_map(|v| match v {
-                    tomlish::Value::Str(s) => Some(s),
-                    _ => None,
-                })
-                .collect(),
-        )),
-    }
-}
+use fair_simlab::tomlish::{self, ParseError};
 
 /// Effective rule configuration: built-in defaults overridden by any
 /// `fairlint.toml` at the workspace root.
@@ -70,23 +28,9 @@ pub struct Config {
     pub engine_paths: Vec<String>,
     /// Crates exempt from rule R2's `#![forbid(unsafe_code)]`.
     pub unsafe_allow_crates: Vec<String>,
-    /// Workspace-relative files allowed to read the environment (R4).
-    pub env_allow_paths: Vec<String>,
-    /// Crates that must emit diagnostics via the fair-trace Tracer
-    /// rather than stdout/stderr (rule T1).
-    pub trace_crates: Vec<String>,
     /// Workspace members exempt from rule R5's coverage requirement
     /// (vendored stand-ins, the linter itself, harness-side crates).
     pub r5_allow_crates: Vec<String>,
-    /// Crates rule C1 (blocking-under-lock) covers; empty = all.
-    pub c1_crates: Vec<String>,
-    /// Function names treated as guard-returning lock helpers by the
-    /// concurrency scans (`lock(shard)`-style wrappers).
-    pub c1_guard_helpers: Vec<String>,
-    /// Crates rule C2 (lock-order consistency) covers; empty = all.
-    pub c2_crates: Vec<String>,
-    /// Call-graph depth rule C3 (panic reachability) traverses.
-    pub c3_depth: usize,
     /// Fully qualified names of proven-total functions C3 may not
     /// flag or traverse into.
     pub c3_allow_fns: Vec<String>,
@@ -110,13 +54,7 @@ impl Default for Config {
             extra_secret_types: vec![],
             engine_paths: v(&["crates/runtime/src/engine.rs"]),
             unsafe_allow_crates: vec![],
-            env_allow_paths: vec![],
-            trace_crates: v(&["runtime", "protocols"]),
             r5_allow_crates: vec![],
-            c1_crates: vec![],
-            c1_guard_helpers: v(&["lock"]),
-            c2_crates: vec![],
-            c3_depth: 2,
             c3_allow_fns: vec![],
         }
     }
@@ -125,43 +63,64 @@ impl Default for Config {
 impl Config {
     /// Loads `fairlint.toml` from `root`, merging over the defaults.
     /// A missing file yields the defaults; present keys replace them.
-    pub fn load(root: &Path) -> Config {
-        let mut cfg = Config::default();
-        let Ok(src) = std::fs::read_to_string(root.join("fairlint.toml")) else {
-            return cfg;
+    ///
+    /// # Errors
+    ///
+    /// An unreadable file, a malformed line, an unknown key, or a value
+    /// that is not an array of strings, as `fairlint.toml:<line>: …`.
+    pub fn load(root: &Path) -> io::Result<Config> {
+        let src = match std::fs::read_to_string(root.join("fairlint.toml")) {
+            Ok(src) => src,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Config::default()),
+            Err(e) => return Err(e),
         };
-        cfg.apply(&parse_toml_subset(&src));
-        cfg
+        Config::parse(&src).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("fairlint.toml:{}: {}", e.line, e.msg),
+            )
+        })
     }
 
-    /// Applies parsed key/value pairs over the current settings.
-    pub fn apply(&mut self, pairs: &[(String, TomlValue)]) {
-        for (key, value) in pairs {
-            if let (&"rules.C3.depth", TomlValue::Int(n)) = (&key.as_str(), value) {
-                self.c3_depth = usize::try_from(*n).unwrap_or(1).max(1);
-                continue;
-            }
-            let TomlValue::List(items) = value else {
-                continue;
+    /// Parses `fairlint.toml` contents over the defaults.
+    ///
+    /// # Errors
+    ///
+    /// The first malformed line, unknown key, or non-string-array value.
+    pub fn parse(src: &str) -> Result<Config, ParseError> {
+        let mut cfg = Config::default();
+        for item in tomlish::parse(src)? {
+            let slot = match item.key.as_str() {
+                "boundary.crates" => &mut cfg.boundary_crates,
+                "rules.D2.crates" => &mut cfg.float_crates,
+                "rules.S1.crates" => &mut cfg.secret_crates,
+                "rules.S1.suffixes" => &mut cfg.secret_suffixes,
+                "rules.S1.extra_types" => &mut cfg.extra_secret_types,
+                "rules.S2.paths" => &mut cfg.engine_paths,
+                "rules.R2.allow_crates" => &mut cfg.unsafe_allow_crates,
+                "rules.R5.allow_crates" => &mut cfg.r5_allow_crates,
+                "rules.C3.allow_fns" => &mut cfg.c3_allow_fns,
+                key => {
+                    return Err(ParseError {
+                        line: item.line,
+                        msg: format!("unknown key `{key}`"),
+                    })
+                }
             };
-            match key.as_str() {
-                "boundary.crates" => self.boundary_crates = items.clone(),
-                "rules.D2.crates" => self.float_crates = items.clone(),
-                "rules.S1.crates" => self.secret_crates = items.clone(),
-                "rules.S1.suffixes" => self.secret_suffixes = items.clone(),
-                "rules.S1.extra_types" => self.extra_secret_types = items.clone(),
-                "rules.S2.paths" => self.engine_paths = items.clone(),
-                "rules.R2.allow_crates" => self.unsafe_allow_crates = items.clone(),
-                "rules.R5.allow_crates" => self.r5_allow_crates = items.clone(),
-                "rules.T1.crates" => self.trace_crates = items.clone(),
-                "rules.C1.crates" => self.c1_crates = items.clone(),
-                "rules.C1.guard_helpers" => self.c1_guard_helpers = items.clone(),
-                "rules.C2.crates" => self.c2_crates = items.clone(),
-                "rules.C3.allow_fns" => self.c3_allow_fns = items.clone(),
-                "allow.R4.paths" => self.env_allow_paths = items.clone(),
-                _ => {}
-            }
+            let strings: Option<Vec<String>> = item
+                .value
+                .as_list()
+                .and_then(|xs| xs.iter().map(|x| x.as_str().map(String::from)).collect());
+            *slot = strings.ok_or_else(|| ParseError {
+                line: item.line,
+                msg: format!(
+                    "`{}` must be an array of strings, not {}",
+                    item.key,
+                    item.value.type_name()
+                ),
+            })?;
         }
+        Ok(cfg)
     }
 }
 
@@ -171,57 +130,49 @@ mod tests {
 
     #[test]
     fn parses_sections_strings_lists_bools() {
-        let pairs = parse_toml_subset(
-            "# header\n[boundary]\ncrates = [\"core\", \"field\"]\n\n[allow.R4]\npaths = [\"a/b.rs\"]\nreason = \"the one entry point\"\nstrict = true\n",
-        );
-        assert!(pairs.contains(&(
-            "boundary.crates".into(),
-            TomlValue::List(vec!["core".into(), "field".into()])
-        )));
-        assert!(pairs.contains(&(
-            "allow.R4.reason".into(),
-            TomlValue::Str("the one entry point".into())
-        )));
-        assert!(pairs.contains(&("allow.R4.strict".into(), TomlValue::Bool(true))));
+        let cfg = Config::parse(
+            "# header\n[boundary]\ncrates = [\"core\", \"field\"]\n\n[rules.S1]\nsuffixes = [\"Key\"]\n",
+        )
+        .expect("parses");
+        assert_eq!(cfg.boundary_crates, vec!["core", "field"]);
+        assert_eq!(cfg.secret_suffixes, vec!["Key"]);
+        // A known key holding a string or a bool is a typed error.
+        for bad in ["\"core\"", "true"] {
+            let err = Config::parse(&format!("[boundary]\ncrates = {bad}\n")).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.msg.contains("array of strings"), "{}", err.msg);
+        }
     }
 
     #[test]
     fn parses_multi_line_arrays() {
-        let pairs = parse_toml_subset(
-            "[rules.S2]\npaths = [\n    \"a/b.rs\",  # why a/b is in scope\n    \"c/d.rs\",\n]\nnext = true\n",
-        );
-        assert!(pairs.contains(&(
-            "rules.S2.paths".into(),
-            TomlValue::List(vec!["a/b.rs".into(), "c/d.rs".into()])
-        )));
+        let cfg = Config::parse(
+            "[rules.S2]\npaths = [\n    \"a/b.rs\",  # why a/b is in scope\n    \"c/d.rs\",\n]\n[rules.R2]\nallow_crates = [\"aio\"]\n",
+        )
+        .expect("parses");
+        assert_eq!(cfg.engine_paths, vec!["a/b.rs", "c/d.rs"]);
         // Parsing resumes cleanly after the closing bracket.
-        assert!(pairs.contains(&("rules.S2.next".into(), TomlValue::Bool(true))));
+        assert_eq!(cfg.unsafe_allow_crates, vec!["aio"]);
     }
 
     #[test]
     fn hash_inside_quotes_is_not_a_comment() {
-        let pairs = parse_toml_subset("k = \"a#b\"\n");
-        assert_eq!(pairs, vec![("k".into(), TomlValue::Str("a#b".into()))]);
+        let cfg = Config::parse("[rules.C3]\nallow_fns = [\"a#b\"]\n").expect("parses");
+        assert_eq!(cfg.c3_allow_fns, vec!["a#b"]);
     }
 
     #[test]
     fn parses_integers() {
-        let pairs = parse_toml_subset("[rules.C3]\ndepth = 3\nallow_fns = [\"a::b\"]\n");
-        assert!(pairs.contains(&("rules.C3.depth".into(), TomlValue::Int(3))));
-        let mut cfg = Config::default();
-        assert_eq!(cfg.c3_depth, 2);
-        cfg.apply(&pairs);
-        assert_eq!(cfg.c3_depth, 3);
-        assert_eq!(cfg.c3_allow_fns, vec!["a::b".to_string()]);
+        // The integer parses, but C3's traversal depth is a constant, not
+        // a key, so `depth` is rejected on its line.
+        let err = Config::parse("[rules.C3]\ndepth = 3\nallow_fns = [\"a::b\"]\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.msg, "unknown key `rules.C3.depth`");
     }
 
     #[test]
     fn apply_overrides_defaults() {
-        let mut cfg = Config::default();
-        cfg.apply(&[(
-            "rules.S1.extra_types".into(),
-            TomlValue::List(vec!["Prg".into()]),
-        )]);
+        let cfg = Config::parse("[rules.S1]\nextra_types = [\"Prg\"]\n").expect("parses");
         assert_eq!(cfg.extra_secret_types, vec!["Prg".to_string()]);
         // Untouched keys keep defaults.
         assert!(cfg.boundary_crates.contains(&"core".to_string()));

@@ -12,12 +12,15 @@
 //! `ALL_EXPERIMENTS` registry, the scenario files, and the EXPERIMENTS.md
 //! summary tables stay in lockstep).
 //!
-//! fairlint enforces those as rules `D1`–`D2`, `S1`–`S2`, `R1`–`R5`,
-//! plus `L1` policing its own suppression comments. It is a token-level
-//! analysis over a scrubbing lexer ([`lexer`]) — comments and string
-//! literals are blanked before matching, so prose never trips a rule —
-//! with path-scoped configuration from `fairlint.toml` ([`config`]) and
-//! inline escape hatches:
+//! fairlint enforces those as rules `D1`–`D2`, `S1`–`S2`, `R1`, `R2`,
+//! `R5`, plus `L1` policing its own suppression comments. What rustc
+//! and clippy can check (`todo!`, stray prints, environment reads) is
+//! left to the workspace lints in the root `Cargo.toml` and
+//! `clippy.toml`. fairlint is a token-level analysis over a scrubbing
+//! lexer ([`lexer`]) — comments and string literals are blanked before
+//! matching, so prose never trips a rule — with path-scoped
+//! configuration from `fairlint.toml` ([`config`]) and inline escape
+//! hatches:
 //!
 //! ```text
 //! // fairlint::allow(D1, reason = "bench-only timing, outside the boundary")
@@ -36,18 +39,14 @@
 //! while a `Mutex`/`RwLock` guard is live, directly or one certain
 //! call deep), `C2` (lock sites must be acquired in one consistent
 //! order workspace-wide), and `C3` (panic-free `S2` paths must not
-//! call workspace functions that can panic, transitively to a
-//! configured depth, modulo a proven-total allowlist). The graph
-//! itself exports via `--graph json|dot` with deterministic ordering,
-//! and `--baseline write|check` ([`baseline`]) ratchets adoption on a
-//! brownfield tree.
+//! call workspace functions that can panic, transitively two calls
+//! deep, modulo a proven-total allowlist). The graph itself exports via
+//! `--graph json|dot` with deterministic ordering.
 //!
 //! Run `cargo run -p fairlint -- --list-rules` for the rule table and
 //! `--explain <RULE>` for any rule's rationale and suggested fix;
-//! `ci.sh` runs `--strict --baseline check` plus a graph-determinism
-//! gate on every push.
+//! `ci.sh` runs `--strict` plus a graph-determinism gate on every push.
 
-pub mod baseline;
 pub mod concurrency;
 pub mod config;
 pub mod diag;

@@ -1,36 +1,27 @@
 #![forbid(unsafe_code)]
-#![allow(clippy::print_stdout)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 //! The `fairlint` binary: walk a workspace, run every rule, report.
 //!
 //! ```text
 //! fairlint [--root <dir>] [--strict] [--json] [--list-rules]
 //!          [--explain <RULE>] [--graph json|dot]
-//!          [--baseline write|check]
 //! ```
 //!
 //! `--graph` prints the workspace call graph instead of diagnostics;
-//! `--explain` prints one rule's rationale and fix; `--baseline write`
-//! records current violations into `fairlint.baseline`, `--baseline
-//! check` subtracts them so only new findings count.
+//! `--explain` prints one rule's rationale and fix.
 //!
 //! Exit codes: 0 clean (or report-only run), 1 violations under
-//! `--strict`, 2 usage or I/O error.
+//! `--strict`, 2 usage, I/O, or `fairlint.toml` error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fairlint::{baseline, graph, render_json_report, Workspace, RULES};
+use fairlint::{graph, render_json_report, Workspace, RULES};
 
 #[derive(Clone, Copy, PartialEq)]
 enum GraphFormat {
     Json,
     Dot,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum BaselineMode {
-    Write,
-    Check,
 }
 
 struct Options {
@@ -40,11 +31,10 @@ struct Options {
     list_rules: bool,
     explain: Option<String>,
     graph: Option<GraphFormat>,
-    baseline: Option<BaselineMode>,
 }
 
 const USAGE: &str = "usage: fairlint [--root <dir>] [--strict] [--json] [--list-rules] \
-     [--explain <RULE>] [--graph json|dot] [--baseline write|check]";
+     [--explain <RULE>] [--graph json|dot]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -54,7 +44,6 @@ fn parse_args() -> Result<Options, String> {
         list_rules: false,
         explain: None,
         graph: None,
-        baseline: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -76,16 +65,6 @@ fn parse_args() -> Result<Options, String> {
                     "json" => GraphFormat::Json,
                     "dot" => GraphFormat::Dot,
                     other => return Err(format!("unknown graph format `{other}` (json|dot)")),
-                });
-            }
-            "--baseline" => {
-                let v = args
-                    .next()
-                    .ok_or("--baseline needs a mode: write or check")?;
-                opts.baseline = Some(match v.as_str() {
-                    "write" => BaselineMode::Write,
-                    "check" => BaselineMode::Check,
-                    other => return Err(format!("unknown baseline mode `{other}` (write|check)")),
                 });
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -145,32 +124,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let mut diags = ws.analyze();
-
-    match opts.baseline {
-        Some(BaselineMode::Write) => {
-            let path = opts.root.join(baseline::BASELINE_FILE);
-            if let Err(e) = std::fs::write(&path, baseline::render(&diags)) {
-                eprintln!("fairlint: cannot write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            println!(
-                "fairlint: wrote {} ({} violation(s) baselined)",
-                path.display(),
-                diags.len()
-            );
-            return ExitCode::SUCCESS;
-        }
-        Some(BaselineMode::Check) => {
-            let path = opts.root.join(baseline::BASELINE_FILE);
-            let base = match std::fs::read_to_string(&path) {
-                Ok(src) => baseline::parse(&src),
-                Err(_) => baseline::Baseline::new(),
-            };
-            diags = baseline::filter(diags, &base);
-        }
-        None => {}
-    }
+    let diags = ws.analyze();
 
     if opts.json {
         println!("{}", render_json_report(&diags));

@@ -4,7 +4,7 @@
 //! `--list-rules` and accepted by `fairlint::allow(...)`.
 
 use crate::diag::{Diagnostic, Severity};
-use crate::source::SourceFile;
+use crate::source::{crate_of, SourceFile};
 use crate::workspace::Workspace;
 
 /// Static description of one rule.
@@ -60,34 +60,16 @@ pub const RULES: &[RuleInfo] = &[
         fix: "Add #![forbid(unsafe_code)] to the crate root, or list the crate in fairlint.toml [rules.R2] allow_crates with a comment saying why.",
     },
     RuleInfo {
-        id: "R3",
-        summary: "no todo!/unimplemented! outside test code",
-        rationale: "Placeholder panics ship as runtime crashes.",
-        fix: "Finish the code path or return a typed error.",
-    },
-    RuleInfo {
-        id: "R4",
-        summary: "environment reads only via the sanctioned config entry point",
-        rationale: "Scattered env reads make runs irreproducible and knobs undiscoverable; FAIR_* variables are parsed once, with errors naming the variable.",
-        fix: "Read knobs through fair_simlab::config::env_usize, or allowlist a new entry point in fairlint.toml [allow.R4] paths.",
-    },
-    RuleInfo {
         id: "R5",
         summary: "every workspace member is covered by a fairlint.toml crate scope or allowlisted",
         rationale: "A crate outside every rule scope is invisible to the linter — new code would join the tree unsupervised.",
-        fix: "Place the crate under a rule's scope (boundary, D2, S1, T1) or list it in [rules.R5] allow_crates with a justification comment.",
+        fix: "Place the crate under a rule's scope (boundary, D2, S1, or an S2 path) or list it in [rules.R5] allow_crates with a justification comment.",
     },
     RuleInfo {
         id: "L1",
         summary: "fairlint::allow suppressions must name a known rule and carry a reason",
         rationale: "A suppression without a reason is unreviewable; one naming an unknown rule silences nothing and rots.",
         fix: "Write // fairlint::allow(RULE, reason = \"why this occurrence is sound\"). L1 itself cannot be suppressed.",
-    },
-    RuleInfo {
-        id: "T1",
-        summary: "engine/protocol crates emit diagnostics only through the fair-trace Tracer (no print!/eprintln!/dbg!)",
-        rationale: "Recorded transcripts are the single source of diagnostic truth; stray prints bypass them and corrupt piped JSON output.",
-        fix: "Emit through the fair_trace::Tracer threaded by execute_traced, or move the printing front-end outside the T1 crates.",
     },
     RuleInfo {
         id: "C1",
@@ -105,7 +87,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "C3",
         summary: "panic-free (S2) paths must not call workspace functions that can panic, transitively",
         rationale: "S2 keeps panics out of message-handling files token-by-token, but a call into a helper that unwraps or indexes re-introduces the same denial of service one hop away.",
-        fix: "Return a typed error from the callee, or — for helpers that are total by construction (bounds checked, non-empty by invariant) — allowlist the qualified name in fairlint.toml [rules.C3] allow_fns. Traversal depth is [rules.C3] depth.",
+        fix: "Return a typed error from the callee, or — for helpers that are total by construction (bounds checked, non-empty by invariant) — allowlist the qualified name in fairlint.toml [rules.C3] allow_fns. The walk follows two call hops.",
     },
 ];
 
@@ -123,10 +105,7 @@ pub fn check_all(ws: &Workspace) -> Vec<Diagnostic> {
         check_d2(ws, f, &mut diags);
         check_s1(ws, f, &mut diags);
         check_s2(ws, f, &mut diags);
-        check_r3(f, &mut diags);
-        check_r4(ws, f, &mut diags);
         check_l1(f, &mut diags);
-        check_t1(ws, f, &mut diags);
     }
     check_r1(ws, &mut diags);
     check_r2(ws, &mut diags);
@@ -620,68 +599,19 @@ fn check_r2(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// R3 — no `todo!`/`unimplemented!` outside tests, workspace-wide.
-fn check_r3(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if f.is_test_path {
-        return;
-    }
-    for (line_no, line) in f.lines() {
-        if f.is_test_line(line_no) {
-            continue;
-        }
-        for token in ["todo!", "unimplemented!"] {
-            if token_hit(line, token) {
-                out.push(err(
-                    "R3",
-                    f,
-                    line_no,
-                    format!("`{token}` in non-test code; finish it or return a typed error"),
-                ));
-            }
-        }
-    }
-}
-
-/// R4 — environment reads (`env::var*`) only in allowlisted files; the
-/// rest of the workspace goes through `fair_simlab::config`.
-fn check_r4(ws: &Workspace, f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if f.is_test_path || ws.config.env_allow_paths.iter().any(|p| p == &f.rel) {
-        return;
-    }
-    for (line_no, line) in f.lines() {
-        if f.is_test_line(line_no) {
-            continue;
-        }
-        for token in ["env::var(", "env::var_os(", "env::vars(", "env::vars_os("] {
-            if token_hit(line, token) {
-                out.push(err(
-                    "R4",
-                    f,
-                    line_no,
-                    format!(
-                        "direct environment read `{}` outside the sanctioned entry point; \
-                         use fair_simlab::config::env_usize (or allowlist the file in \
-                         fairlint.toml [allow.R4])",
-                        token.trim_end_matches('(')
-                    ),
-                ));
-            }
-        }
-    }
-}
-
 /// R5 — scope coverage: every workspace member declared in the root
 /// `Cargo.toml` is named by at least one `fairlint.toml` crate scope
-/// (the D1 boundary, D2 float crates, S1 secret crates, T1 trace
-/// crates) or by the explicit `[rules.R5] allow_crates` list. New
+/// (the D1 boundary, D2 float crates, S1 secret crates, the crates of
+/// S2 paths) or by the explicit `[rules.R5] allow_crates` list. New
 /// crates cannot slip into the workspace unsupervised.
 fn check_r5(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    let cfg = &ws.config;
     let scoped = |m: &String| {
-        ws.config.boundary_crates.contains(m)
-            || ws.config.float_crates.contains(m)
-            || ws.config.secret_crates.contains(m)
-            || ws.config.trace_crates.contains(m)
-            || ws.config.r5_allow_crates.contains(m)
+        cfg.boundary_crates.contains(m)
+            || cfg.float_crates.contains(m)
+            || cfg.secret_crates.contains(m)
+            || cfg.engine_paths.iter().any(|p| crate_of(p) == Some(m))
+            || cfg.r5_allow_crates.contains(m)
     };
     for member in &ws.members {
         if !scoped(member) {
@@ -730,36 +660,6 @@ fn check_l1(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                     f,
                     s.line,
                     format!("suppression names unknown rule `{id}`"),
-                ));
-            }
-        }
-    }
-}
-
-/// T1 — tracing discipline: the engine and protocol crates may not write
-/// to stdout/stderr directly; execution observability goes through the
-/// `fair_trace::Tracer` threaded by `execute_traced`, so recorded
-/// transcripts stay the single source of diagnostic truth.
-fn check_t1(ws: &Workspace, f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    const TOKENS: &[&str] = &["print!", "println!", "eprint!", "eprintln!", "dbg!"];
-    let Some(krate) = &f.krate else { return };
-    if !ws.config.trace_crates.contains(krate) || f.is_test_path {
-        return;
-    }
-    for (line_no, line) in f.lines() {
-        if f.is_test_line(line_no) {
-            continue;
-        }
-        for token in TOKENS {
-            if token_hit(line, token) {
-                out.push(err(
-                    "T1",
-                    f,
-                    line_no,
-                    format!(
-                        "`{token}` in crate `{krate}`; engine/protocol code emits diagnostics \
-                         through the fair-trace Tracer so transcripts capture them"
-                    ),
                 ));
             }
         }

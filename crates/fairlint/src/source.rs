@@ -27,6 +27,12 @@ pub struct SourceFile {
     test_lines: Vec<bool>,
 }
 
+/// The crate a workspace-relative path belongs to: `Some("core")` for
+/// `crates/core/...`, `None` for files outside `crates/`.
+pub fn crate_of(rel: &str) -> Option<&str> {
+    rel.strip_prefix("crates/")?.split('/').next()
+}
+
 impl SourceFile {
     /// Builds the model from raw contents (no I/O — callers read the
     /// file; fixtures can feed strings directly).
@@ -37,10 +43,7 @@ impl SourceFile {
             .to_string_lossy()
             .replace('\\', "/");
         let scrubbed = scrub(&raw);
-        let krate = rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .map(str::to_string);
+        let krate = crate_of(&rel).map(str::to_string);
         let is_test_path = rel.split('/').any(|seg| {
             seg == "tests" || seg == "benches" || seg == "examples" || seg == "fixtures"
         });

@@ -4,7 +4,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::config::{parse_toml_subset, Config, TomlValue};
+use fair_simlab::tomlish;
+
+use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::rules;
 use crate::source::SourceFile;
@@ -41,7 +43,8 @@ impl Workspace {
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from walking or reading files.
+    /// Returns any I/O error from walking or reading files, and any
+    /// `fairlint.toml` error ([`Config::load`]).
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let root = root.canonicalize()?;
         let mut paths = Vec::new();
@@ -54,7 +57,7 @@ impl Workspace {
                 Ok(SourceFile::from_contents(&root, &p, raw))
             })
             .collect::<io::Result<Vec<_>>>()?;
-        let config = Config::load(&root);
+        let config = Config::load(&root)?;
         let experiments_md = std::fs::read_to_string(root.join("EXPERIMENTS.md")).ok();
         let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
         let (members, members_line) = expand_members(&root, &manifest);
@@ -91,11 +94,17 @@ fn expand_members(root: &Path, manifest: &str) -> (Vec<String>, usize) {
         .lines()
         .position(|l| l.trim_start().starts_with("members"))
         .unwrap_or(0);
-    let patterns: Vec<String> = parse_toml_subset(manifest)
+    let patterns: Vec<String> = tomlish::parse_lenient(manifest)
         .into_iter()
-        .find_map(|(k, v)| match (k.as_str(), v) {
-            ("workspace.members", TomlValue::List(items)) => Some(items),
-            _ => None,
+        .find(|item| item.key == "workspace.members")
+        .and_then(|item| {
+            let items = item.value.as_list()?;
+            Some(
+                items
+                    .iter()
+                    .filter_map(|v| v.as_str().map(String::from))
+                    .collect(),
+            )
         })
         .unwrap_or_default();
     let mut members = Vec::new();

@@ -5,10 +5,6 @@ pub fn deliver(msgs: &[u8]) -> u8 {
     *first
 }
 
-pub fn debug_dump(round: usize) {
-    eprintln!("round {round}");
-}
-
 pub fn settle(xs: &[u8]) -> u8 {
     crate::helpers::pick(xs) + crate::helpers::deep(xs) // C3: depth 1 and 2
 }

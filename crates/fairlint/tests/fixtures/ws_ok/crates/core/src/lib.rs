@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-pub mod env;
 
 pub fn wallclock() -> std::time::Instant {
     // fairlint::allow(D1, reason = "fixture: demonstrating a justified wall-clock read")
@@ -8,8 +7,4 @@ pub fn wallclock() -> std::time::Instant {
 
 pub fn float_eq(x: f64) -> bool {
     x == 0.5 // fairlint::allow(D2, reason = "fixture: exact sentinel compare")
-}
-
-pub fn unfinished() {
-    todo!() // fairlint::allow(R3, reason = "fixture: placeholder kept on purpose")
 }

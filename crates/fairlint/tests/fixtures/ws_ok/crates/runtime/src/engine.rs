@@ -5,11 +5,6 @@ pub fn deliver(msgs: &[u8]) -> u8 {
     *first
 }
 
-pub fn trace_fallback(round: usize) {
-    // fairlint::allow(T1, reason = "fixture: legacy diagnostic pending Tracer port")
-    eprintln!("round {round}");
-}
-
 pub fn settle(xs: &[u8]) -> u8 {
     // `total::pick` has an indexing fact but is allowlisted as proven
     // total in this fixture's fairlint.toml, so C3 stays quiet.

@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-#![allow(clippy::print_stdout)] // a CLI prints its results
+#![allow(clippy::print_stdout, clippy::print_stderr)] // a CLI prints its results
 //! `fair-scenario` — check, list, and expand scenario files.
 //!
 //! ```text

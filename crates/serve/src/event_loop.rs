@@ -207,6 +207,34 @@ struct Conn {
     deferred_stream: Option<Box<Request>>,
 }
 
+impl Conn {
+    /// Responses owed but not yet on the wire: pipeline slots plus
+    /// serialized responses the socket has not taken. `max_pipeline`
+    /// caps this, so a peer that sends without reading stalls its own
+    /// connection instead of growing the write queue.
+    fn queued(&self) -> usize {
+        self.pending.len() + self.out.len()
+    }
+
+    /// Serializes the contiguous ready prefix of the pipeline into the
+    /// write queue (head bytes built here; bodies ride as-is, shared
+    /// cache bodies without a copy).
+    fn flush_ready(&mut self) {
+        while matches!(self.pending.front(), Some(Pending::Ready(..))) {
+            let Some(Pending::Ready(resp, keep_alive)) = self.pending.pop_front() else {
+                break;
+            };
+            let head = resp.head_bytes(keep_alive);
+            self.out.push_back(OutBuf {
+                head,
+                head_pos: 0,
+                body: resp.body,
+                body_pos: 0,
+            });
+        }
+    }
+}
+
 struct Completion {
     token: Token,
     job: u64,
@@ -406,8 +434,7 @@ impl EventLoop {
             }
             let mut chunk = [0u8; READ_CHUNK];
             for _ in 0..READ_BURSTS {
-                if conn.pending.len() >= self.config.max_pipeline || conn.buf.len() >= max_buffered
-                {
+                if conn.queued() >= self.config.max_pipeline || conn.buf.len() >= max_buffered {
                     break; // backpressure: stop pulling bytes
                 }
                 match conn.stream.read(&mut chunk) {
@@ -440,6 +467,7 @@ impl EventLoop {
     /// completions, and after anything else that changes conn state.
     fn conn_pump(&mut self, idx: usize) {
         let arrival = Instant::now();
+        let mut capped;
         loop {
             // Stage 1: pull one parsed request (or a parse failure) out of
             // the buffer under a short borrow.
@@ -447,10 +475,8 @@ impl EventLoop {
                 let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                     return;
                 };
-                if conn.close_after_drain
-                    || conn.deferred_stream.is_some()
-                    || conn.pending.len() >= self.config.max_pipeline
-                {
+                capped = conn.queued() >= self.config.max_pipeline;
+                if conn.close_after_drain || conn.deferred_stream.is_some() || capped {
                     None
                 } else {
                     match http::split_head(&conn.buf) {
@@ -480,6 +506,23 @@ impl EventLoop {
                 }
             };
             let Some(parsed) = parsed else {
+                if !capped {
+                    break;
+                }
+                // The cap stopped parsing, and heads still in `buf` get no
+                // read event of their own: go on if writing frees slots.
+                if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
+                    conn.flush_ready();
+                }
+                self.conn_write(idx);
+                let freed = self
+                    .conns
+                    .get(idx)
+                    .and_then(Option::as_ref)
+                    .is_some_and(|conn| conn.queued() < self.config.max_pipeline);
+                if freed {
+                    continue;
+                }
                 break;
             };
             // Stage 2: route without holding the connection borrow.
@@ -529,7 +572,9 @@ impl EventLoop {
                 }
             }
         }
-        self.flush_ready(idx);
+        if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
+            conn.flush_ready();
+        }
         self.conn_write(idx);
         self.conn_maintain(idx);
     }
@@ -596,27 +641,6 @@ impl EventLoop {
         }
     }
 
-    /// Serializes the contiguous ready prefix of the pipeline into the
-    /// write queue (head bytes built here; bodies ride as-is, shared
-    /// cache bodies without a copy).
-    fn flush_ready(&mut self, idx: usize) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return;
-        };
-        while matches!(conn.pending.front(), Some(Pending::Ready(..))) {
-            let Some(Pending::Ready(resp, keep_alive)) = conn.pending.pop_front() else {
-                break;
-            };
-            let head = resp.head_bytes(keep_alive);
-            conn.out.push_back(OutBuf {
-                head,
-                head_pos: 0,
-                body: resp.body,
-                body_pos: 0,
-            });
-        }
-    }
-
     /// Writes as much queued output as the socket accepts, gathering up to
     /// [`WRITEV_BATCH`] responses per vectored write.
     fn conn_write(&mut self, idx: usize) {
@@ -674,7 +698,7 @@ impl EventLoop {
                 && (conn.close_after_drain || (conn.no_more_reads && conn.buf.is_empty()));
             let desired = Interest {
                 readable: !conn.no_more_reads
-                    && conn.pending.len() < self.config.max_pipeline
+                    && conn.queued() < self.config.max_pipeline
                     && conn.buf.len() < http::MAX_HEAD_BYTES.saturating_mul(2),
                 writable: !conn.out.is_empty(),
                 edge: false,
@@ -871,10 +895,10 @@ impl EventLoop {
         self.barrier.wait();
         self.apply_completions();
         for idx in 0..self.conns.len() {
-            self.flush_ready(idx);
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
             };
+            conn.flush_ready();
             if !conn.out.is_empty() {
                 let _ = conn.stream.set_nonblocking(false);
                 let _ = conn.stream.set_write_timeout(Some(DRAIN_WRITE_TIMEOUT));

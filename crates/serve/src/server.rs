@@ -55,8 +55,9 @@ pub struct ServerConfig {
     /// How long an idle keep-alive connection (no request in flight, no
     /// unread bytes) is retained before the timer wheel closes it.
     pub keepalive_timeout: Duration,
-    /// Maximum queued responses per connection before the loop stops
-    /// reading from it (pipelining backpressure).
+    /// Maximum responses a connection may owe (queued, or serialized but
+    /// not yet written) before the loop stops reading from it
+    /// (pipelining backpressure).
     pub max_pipeline: usize,
     /// Where to flush the final metrics snapshot on shutdown (optional).
     pub metrics_path: Option<PathBuf>,

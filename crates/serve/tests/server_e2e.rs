@@ -11,24 +11,31 @@ use fair_serve::service::Backend;
 use fair_serve::{client, Conn, Server, ServerConfig};
 
 /// A deterministic backend: renders a canonical-looking document and
-/// counts invocations; optionally sleeps to simulate slow estimations.
+/// counts invocations; optionally sleeps to simulate slow estimations,
+/// or pads the document to a given size.
 struct MockBackend {
     calls: AtomicUsize,
     delay: Duration,
+    pad: usize,
 }
 
 impl MockBackend {
     fn instant() -> MockBackend {
-        MockBackend {
-            calls: AtomicUsize::new(0),
-            delay: Duration::ZERO,
-        }
+        MockBackend::slow(Duration::ZERO)
     }
 
     fn slow(delay: Duration) -> MockBackend {
         MockBackend {
             calls: AtomicUsize::new(0),
             delay,
+            pad: 0,
+        }
+    }
+
+    fn bulky(pad: usize) -> MockBackend {
+        MockBackend {
+            pad,
+            ..MockBackend::instant()
         }
     }
 }
@@ -43,8 +50,10 @@ impl Backend for MockBackend {
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
         }
-        (exp == "e1")
-            .then(|| format!("{{\"experiment\":\"{exp}\",\"seed\":{seed},\"trials\":{trials}}}\n"))
+        (exp == "e1").then(|| {
+            let pad = " ".repeat(self.pad);
+            format!("{{\"experiment\":\"{exp}\",\"seed\":{seed},\"trials\":{trials}}}{pad}\n")
+        })
     }
 }
 
@@ -210,6 +219,67 @@ fn pipelined_requests_answer_in_order_with_identical_bytes() {
         other => panic!("pipelined_requests missing: {other:?}"),
     };
     assert!(pipelined >= 1.0, "pipelining was observed, got {pipelined}");
+    shutdown(addr, handle);
+}
+
+#[test]
+fn pipelined_burst_past_the_pipeline_cap_is_answered_in_full() {
+    let (addr, handle, _latch) = boot(Arc::new(MockBackend::instant()), ServerConfig::default());
+    // One write of more requests than `max_pipeline` (64): the surplus is
+    // already in the server's parse buffer when the first 64 replies flush,
+    // so no further read event will announce it. Every reply must still
+    // arrive, none more than 1 s after the previous one.
+    let burst = vec!["/healthz"; 200];
+    let mut conn = Conn::connect(addr, Duration::from_secs(1)).expect("connect");
+    conn.send_many(&burst).expect("pipelined send");
+    for i in 0..burst.len() {
+        let reply = conn
+            .recv()
+            .unwrap_or_else(|e| panic!("reply {i} of {} never came: {e}", burst.len()));
+        assert_eq!(reply.status, 200, "reply {i}");
+    }
+    shutdown(addr, handle);
+}
+
+#[test]
+fn a_peer_that_never_reads_is_stalled_not_buffered() {
+    let (addr, handle, _latch) = boot(
+        Arc::new(MockBackend::bulky(64 << 10)),
+        ServerConfig::default(),
+    );
+    let target = "/estimate?exp=e1&trials=50&seed=1";
+    assert_eq!(client::get(addr, target).expect("warmup").status, 200);
+    // Pipeline 2000 warm requests for 64 KiB bodies and never read a
+    // reply. The socket buffers absorb a few MiB of replies; past that,
+    // `max_pipeline` unsent replies must stop the server parsing, not
+    // pile up in its write queue.
+    let mut stalled = Conn::connect(addr, Duration::from_secs(10)).expect("connect");
+    stalled.send_many(&[target; 2000]).expect("pipelined send");
+    let reuses = || {
+        let text = client::get(addr, "/metrics").expect("metrics").text();
+        let doc = fair_simlab::json::parse(text.trim_end()).expect("metrics parse");
+        let server = fair_simlab::json::get(&doc, "server").expect("server block");
+        match fair_simlab::json::get(server, "keepalive_reuses") {
+            Some(fair_simlab::json::Json::Num(n)) => *n,
+            other => panic!("keepalive_reuses missing: {other:?}"),
+        }
+    };
+    // Requests parsed on the stalled connection (all but its first),
+    // once the count stops moving.
+    let mut parsed = reuses();
+    for _ in 0..50 {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = reuses();
+        if now == parsed {
+            break;
+        }
+        parsed = now;
+    }
+    assert!(
+        parsed < 1000.0,
+        "parsed {parsed} of 2000 never-read requests"
+    );
+    drop(stalled);
     shutdown(addr, handle);
 }
 

@@ -47,6 +47,7 @@ impl Observer {
     /// Runs `f` while a ticker thread prints the progress line every 2 s
     /// (just `f` without a label). The ticker is joined when its current
     /// sleep ends, so the call returns on a 2 s boundary (see ROADMAP).
+    #[allow(clippy::print_stderr)] // the progress line is for the operator
     pub fn reporting<T>(&self, f: impl FnOnce() -> T) -> T {
         let Some(label) = &self.label else {
             return f();

@@ -1,10 +1,11 @@
 //! `tomlish` — the workspace's one TOML-subset parser.
 //!
-//! Two consumers share it: `fairlint` loads `fairlint.toml` (lenient —
-//! a config line the linter does not understand is skipped so the format
-//! can grow), and `fair-scenario` compiles `scenarios/*.toml` experiment
-//! families (strict — a malformed line is a span-carrying [`ParseError`]
-//! so authors get `file:line` diagnostics). One parser, one set of
+//! Two consumers share it: `fairlint` loads `fairlint.toml` (strict) and
+//! reads `[workspace] members` and scenario ids (lenient — lines it does
+//! not understand, such as inline tables, are skipped), and `fair-scenario`
+//! compiles `scenarios/*.toml` experiment families (strict — a malformed
+//! line is a span-carrying [`ParseError`] so authors get `file:line`
+//! diagnostics). One parser, one set of
 //! quirks, instead of two hand-rolled readers drifting apart.
 //!
 //! The subset: `[section]` headers, `key = value` pairs, `#` comments
@@ -121,9 +122,9 @@ pub fn parse(src: &str) -> Result<Vec<Item>, ParseError> {
     walk(src, Mode::Strict)
 }
 
-/// Lenient parse: skips lines and values it cannot understand (the
-/// `fairlint.toml` contract — unknown constructs are ignored so the
-/// format can grow without breaking older linters).
+/// Lenient parse: skips lines and values it cannot understand, for
+/// files outside this parser's subset (a `Cargo.toml`) or read only for
+/// one key (a scenario's id).
 pub fn parse_lenient(src: &str) -> Vec<Item> {
     // Lenient mode never returns Err; swallow unparseable lines.
     walk(src, Mode::Lenient).unwrap_or_default()
